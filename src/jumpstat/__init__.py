@@ -12,8 +12,7 @@ from .genfunc import (SelfCheckError, Verdict, solve_catalan, solve_F,
                       solve_H, solve_Jdepth, solve_K, verify_F_closed_form,
                       verify_theorem)
 from .guess import (AmbiguousFitError, GuessError, NoFitError,
-                    RationalFunctionN, fit_rational, guess_rational,
-                    limit_at_infinity)
+                    RationalFunctionN, fit_rational, guess_rational)
 from .moments import (REFERENCE_FORMULAS, MomentTable, check_closed_forms,
                       moment_table, q_log_derivative_power)
 from .trees import (LEAF, EnumerationCapError, Node, TreeParseError,
@@ -28,7 +27,7 @@ __all__ = [
     "SelfCheckError", "Verdict", "solve_catalan", "solve_F", "solve_H",
     "solve_Jdepth", "solve_K", "verify_F_closed_form", "verify_theorem",
     "AmbiguousFitError", "GuessError", "NoFitError", "RationalFunctionN",
-    "fit_rational", "guess_rational", "limit_at_infinity",
+    "fit_rational", "guess_rational",
     "REFERENCE_FORMULAS", "MomentTable", "check_closed_forms",
     "moment_table", "q_log_derivative_power",
     "LEAF", "EnumerationCapError", "Node", "TreeParseError", "TreeStats",

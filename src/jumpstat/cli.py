@@ -11,8 +11,8 @@ Subcommands:
 * ``guess STAT``       — fit a rational function in n to a moment column.
 * ``limits``           — reference closed forms and their limits.
 
-Exit codes: 0 success, 1 a verification or fit failed, 2 usage or parse
-error, 3 a resource cap refused the request.
+Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
+2 usage or parse error, 3 a resource cap refused the request.
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
@@ -27,6 +27,7 @@ import os
 import sys
 
 from . import genfunc, moments
+from .algebra import ContractViolationError
 from .guess import GuessError, guess_rational
 from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
                     TreeParseError, compute_stats, enumerate_trees_with_stats,
@@ -202,8 +203,11 @@ def _parse_moment_spec(spec: str) -> tuple[str, int]:
         r = int(digits)
         if kind == "raw" and r >= 1:
             return kind, r
-        if kind in ("central", "scaled") and r >= 2:
+        if kind == "central" and r >= 2:
             return kind, r
+        if kind == "scaled" and r >= 2:
+            # odd scaled moments are fitted by their squared values
+            return kind if r % 2 == 0 else "scaled_squared", r
     raise _UsageError(
         f"bad --moment {spec!r}: expected mean, variance, raw:R, "
         f"central:R (R>=2), or scaled:R (R>=2)")
@@ -215,28 +219,17 @@ def _cmd_guess(args) -> int:
         raise _UsageError("--n-to must exceed --n-from")
     table = moments.moment_table(args.stat, max_moment=r, n_max=args.n_to)
     start = max(args.n_from, 0)
-    if kind == "scaled":
+    if kind.startswith("scaled"):
         # scaled moments only exist where the variance is positive
         start = max(start, 2)
     points = []
-    label = kind
     for n in range(start, args.n_to + 1):
-        row = table.row(n)
-        if kind == "raw":
-            points.append((n, row.raw_moment(r)))
-        elif kind == "central":
-            points.append((n, row.central_moment(r)))
-        elif r % 2 == 0:
-            label = "scaled"
-            if r in row.scaled_even:
-                points.append((n, row.scaled_even[r]))
-        else:
-            label = "scaled_squared"
-            if r in row.scaled_odd_squared:
-                points.append((n, row.scaled_odd_squared[r][1]))
+        value = table.row(n).value(kind, r)
+        if value is not None:
+            points.append((n, value))
     result = guess_rational(points, holdout=args.holdout,
                             max_total_degree=args.max_total_degree)
-    out = {"stat": args.stat, "moment": {"kind": label, "r": r},
+    out = {"stat": args.stat, "moment": {"kind": kind, "r": r},
            "points": {"from": points[0][0], "to": points[-1][0],
                       "holdout": args.holdout}}
     out.update(result.to_json())
@@ -279,7 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except GuessError as exc:
+    except (GuessError, genfunc.SelfCheckError,
+            ContractViolationError) as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:

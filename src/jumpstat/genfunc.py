@@ -9,6 +9,12 @@ polynomial coefficients in the markers t (rightmost-leaf depth) and q:
 * ``solve_Jdepth``  — J, trees weighted t^depth (jumps ignored).
 * ``solve_K``       — K, trees weighted q^jumpdist.
 
+The paper's equation for F has F(x,0,q) = 1, since only the leaf has
+rightmost-leaf depth 0.  Substituting that splits it in two: H solves
+the one-marker quadratic H = 1 + xH + qx(H-1)H, the shape of f = 1 + xf^2,
+and F = 1/(1 - xt*G) with G = 1 + q(H-1) is built from H exactly as
+J = 1/(1 - xt*f) is built from f.
+
 Each series satisfies an algebraic identity with a square-root term.  The
 verifiers never divide by marker-bearing denominators: every identity is
 cross-multiplied into the form (polynomial)*series + (polynomial + radical)
@@ -137,25 +143,42 @@ def solve_catalan(order: int) -> Series:
     return fixed_point_solve(lambda f: one + (f * f).shift_x(), order)
 
 
+def _theorem3_residual(H: Series, order: int) -> Series:
+    # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1
+    two_qx = _x_poly([Poly2.zero(), Poly2.term(2, eq=1)], order)
+    lin = _x_poly(
+        [Poly2.constant(-1), Poly2({(0, 0): 1, (0, 1): -1})], order)
+    return two_qx * H + lin + jumps_radical(order)
+
+
+@lru_cache(maxsize=4)
+def solve_H(order: int) -> Series:
+    """H(x,q) = F(x,1,q), trees weighted q^jumps, solved from its own
+    equation H = 1 + x*H + q*x*(H - 1)*H.
+
+    Verified against its own closed form before being returned; failure
+    means the solver stack is broken, so it raises instead of returning.
+    """
+    one = Series.one(order)
+    H = fixed_point_solve(lambda H: one + (H * ((1 - _Q) + H * _Q)).shift_x(),
+                          order)
+    hit = _theorem3_residual(H, order).first_nonzero()
+    if hit is not None:
+        raise SelfCheckError(
+            f"jumps series failed its closed form at x^{hit[0]}: {hit[1]}")
+    return H
+
+
 @lru_cache(maxsize=4)
 def solve_F(order: int) -> Series:
     """F(x,t,q) = 1 + xt*F(x,0,q)*F(x,t,q) + xtq*(F(x,1,q) - F(x,0,q))*F(x,t,q).
 
-    The two specializations are recomputed from the current iterate on
-    every application, so the fixed point is taken in all three variables
-    at once.  (F(x,0,q) = 1: only the leaf has rightmost-leaf depth 0, but
-    that falls out of the iteration rather than being assumed.)
+    With F(x,0,q) = 1 and F(x,1,q) = H this is t-linear, so F is the
+    inverse of 1 - x*t*G with G = 1 + q*(H - 1): the construction of J
+    with G in place of f.
     """
-    one = Series.one(order)
-
-    def step(F: Series) -> Series:
-        at0 = F.substitute("t", 0)
-        at1 = F.substitute("t", 1)
-        left = (at0 * F).shift_x() * _T
-        jumped = ((at1 - at0) * F).shift_x() * (_T * _Q)
-        return one + left + jumped
-
-    return fixed_point_solve(step, order)
+    G = 1 + (solve_H(order) - 1) * _Q
+    return (1 - (G * _T).shift_x()).inverse().truncate(order)
 
 
 def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
@@ -186,29 +209,6 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
          Poly2({(1, 0): 1, (1, 1): -1})], order)
     residual = den * F + lin + jumps_radical(order) * _T
     return verdict_from_residual("2", order, residual)
-
-
-def _theorem3_residual(H: Series, order: int) -> Series:
-    # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1
-    two_qx = _x_poly([Poly2.zero(), Poly2.term(2, eq=1)], order)
-    lin = _x_poly(
-        [Poly2.constant(-1), Poly2({(0, 0): 1, (0, 1): -1})], order)
-    return two_qx * H + lin + jumps_radical(order)
-
-
-@lru_cache(maxsize=4)
-def solve_H(order: int) -> Series:
-    """H(x,q) = F(x,1,q), trees weighted q^jumps.
-
-    Verified against its own closed form before being returned; failure
-    means the solver stack is broken, so it raises instead of returning.
-    """
-    H = solve_F(order).substitute("t", 1)
-    hit = _theorem3_residual(H, order).first_nonzero()
-    if hit is not None:
-        raise SelfCheckError(
-            f"jumps series failed its closed form at x^{hit[0]}: {hit[1]}")
-    return H
 
 
 def _theorem5_residual(J: Series, order: int) -> Series:
@@ -309,7 +309,7 @@ def verify_theorem(theorem: int | str, order: int,
         return verify_F_closed_form(order)
 
     if tid == "3":
-        H = solve_F(order).substitute("t", 1)
+        H = solve_H(order)
         return verdict_from_residual(tid, order, _theorem3_residual(H, order))
 
     if tid == "4":

@@ -155,6 +155,7 @@ class RationalFunctionN:
         return _poly_eval(self.numerator, n) / den
 
     def limit_at_infinity(self) -> Limit:
+        """Three-way limit as n -> infinity."""
         dn, dd = self.degrees()
         if dn < dd:
             return Limit("zero", Fraction(0))
@@ -211,11 +212,6 @@ def _render_poly(coeffs: Sequence[int]) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts) if parts else "0"
-
-
-def limit_at_infinity(formula: RationalFunctionN) -> Limit:
-    """Three-way limit of a reduced rational function as n -> infinity."""
-    return formula.limit_at_infinity()
 
 
 # --- exact nullspace ---------------------------------------------------------

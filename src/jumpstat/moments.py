@@ -83,6 +83,21 @@ class MomentRow:
             raise IndexError(f"central moment {r} not tabulated")
         return self.central[r - 2]
 
+    def value(self, kind: str, r: int) -> Fraction | None:
+        """One moment column by ReferenceFormula kind: "raw", "central",
+        "scaled" (even r) or "scaled_squared" (odd r, the squared value
+        only).  None where a scaled column is undefined."""
+        if kind == "raw":
+            return self.raw_moment(r)
+        if kind == "central":
+            return self.central_moment(r)
+        if kind == "scaled":
+            return self.scaled_even.get(r)
+        if kind == "scaled_squared":
+            pair = self.scaled_odd_squared.get(r)
+            return None if pair is None else pair[1]
+        raise ValueError(f"unknown moment kind {kind!r}")
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -278,16 +293,6 @@ class FormulaCheck:
                 "detail": self.detail}
 
 
-def _table_value(row: MomentRow, ref: ReferenceFormula):
-    if ref.kind == "raw":
-        return row.raw_moment(ref.r)
-    if ref.kind == "central":
-        return row.central_moment(ref.r)
-    if ref.kind == "scaled":
-        return row.scaled_even.get(ref.r)
-    return row.scaled_odd_squared.get(ref.r)
-
-
 def check_closed_forms(table: MomentTable, n_from: int = 2) -> list[FormulaCheck]:
     """Compare every applicable reference formula against the table.
 
@@ -306,17 +311,18 @@ def check_closed_forms(table: MomentTable, n_from: int = 2) -> list[FormulaCheck
         detail = ""
         for n in range(n_from, table.n_max + 1):
             expected = ref.formula.evaluate(n)
-            got = _table_value(table.row(n), ref)
+            row = table.row(n)
+            got = row.value(ref.kind, ref.r)
             if ref.kind == "scaled_squared":
                 if got is None:
                     passed, mismatch = False, n
                     detail = "scaled moment undefined"
                     break
-                sign, value = got
-                if value != expected:
+                if got != expected:
                     passed, mismatch = False, n
-                    detail = f"squared value {value} != {expected}"
+                    detail = f"squared value {got} != {expected}"
                     break
+                sign = row.scaled_odd_squared[ref.r][0]
                 if (ref.sign_positive_from is not None
                         and n >= ref.sign_positive_from and sign != 1):
                     passed, mismatch = False, n

@@ -29,6 +29,7 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .algebra import Poly2, Series
@@ -250,20 +251,8 @@ def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Node
     recursively within each side.  Sizes past the cap are refused before
     any work happens.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _check_cap(n, cap)
-    yield from _enumerate(n)
-
-
-def _enumerate(n: int) -> Iterator[Node | Leaf]:
-    if n == 0:
-        yield LEAF
-        return
-    for i in range(n):
-        for left in _enumerate(i):
-            for right in _enumerate(n - 1 - i):
-                yield Node(left, right)
+    for tree, _ in enumerate_trees_with_stats(n, cap):
+        yield tree
 
 
 def enumerate_trees_with_stats(
@@ -300,6 +289,16 @@ def _enumerate_with_stats(n: int) -> Iterator[tuple[Node | Leaf, TreeStats]]:
                 )
 
 
+def _weight_enumerator(n_max: int, cap: int, key) -> Series:
+    """Series whose x^n coefficient counts the trees of size n by
+    key(stats) = (t exponent, q exponent)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _check_cap(n_max, cap)
+    return Series([Poly2(Counter(key(st) for _, st in _enumerate_with_stats(n)))
+                   for n in range(n_max + 1)])
+
+
 def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Series:
     """Weight enumerator by exhaustive listing: the x^n coefficient is the
     sum of t^depth * q^jumps over every tree with n internal vertices.
@@ -307,32 +306,14 @@ def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Se
     Exponential in n_max; this is the ground truth the series solvers are
     measured against, so it must stay dead simple.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _check_cap(n_max, cap)
-    coeffs = []
-    for n in range(n_max + 1):
-        acc: dict[tuple[int, int], int] = {}
-        for _, st in _enumerate_with_stats(n):
-            key = (st.depth, st.jumps)
-            acc[key] = acc.get(key, 0) + 1
-        coeffs.append(Poly2(acc))
-    return Series(coeffs)
+    return _weight_enumerator(n_max, cap, lambda st: (st.depth, st.jumps))
 
 
 def brute_force_jumpdist_enumerator(
     n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Series:
     """Like brute_force_enumerator but the x^n coefficient sums q^jumpdist
-    (no depth marker).  Ground truth for the jump-distance solver."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _check_cap(n_max, cap)
-    coeffs = []
-    for n in range(n_max + 1):
-        acc: dict[tuple[int, int], int] = {}
-        for _, st in _enumerate_with_stats(n):
-            key = (0, st.jumpdist)
-            acc[key] = acc.get(key, 0) + 1
-        coeffs.append(Poly2(acc))
-    return Series(coeffs)
+    (no depth marker).  Ground truth for the jump-distance solver; it
+    counts jumpdist itself, never depth, so it stays independent of the
+    complement rule that solve_K uses."""
+    return _weight_enumerator(n_max, cap, lambda st: (0, st.jumpdist))

@@ -46,16 +46,6 @@ def jumpdist_table():
     return moment_table("jumpdist", max_moment=10, n_max=60)
 
 
-def _column(row, kind: str, r: int):
-    if kind == "raw":
-        return row.raw_moment(r)
-    if kind == "central":
-        return row.central_moment(r)
-    if kind == "scaled":
-        return row.scaled_even[r]
-    return row.scaled_odd_squared[r][1]
-
-
 def test_criterion_1_catalan_counts(acceptance_report):
     start = time.monotonic()
     count_ok = all(
@@ -203,8 +193,7 @@ def test_criterion_6_guessing_round_trip(acceptance_report, jumps_table,
     outcomes = {}
     for ref in REFERENCE_FORMULAS:
         table = jumps_table if ref.stat == "jumps" else jumpdist_table
-        kind = ref.kind if ref.kind != "scaled_squared" else "scaled_squared"
-        points = [(n, _column(table.row(n), kind, ref.r))
+        points = [(n, table.row(n).value(ref.kind, ref.r))
                   for n in range(2, 41)]
         result = guess_rational(points, holdout=5)
         outcomes[ref.tag] = result.formula == ref.formula

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from jumpstat import cli, genfunc
+from jumpstat.algebra import ContractViolationError
 from jumpstat.cli import main
 from jumpstat.trees import catalan
 
@@ -88,6 +90,19 @@ def test_series_alias_and_bad_order(capsys):
     code, _, err = run(capsys, "series", "f", "--order", "-1")
     assert code == 2
     assert "--order" in err
+
+
+@pytest.mark.parametrize("error", [genfunc.SelfCheckError,
+                                   ContractViolationError])
+def test_solver_failure_exits_1_with_message(capsys, monkeypatch, error):
+    def broken(order):
+        raise error("series is corrupt")
+
+    monkeypatch.setitem(cli._SOLVERS, "H", broken)
+    code, out, err = run(capsys, "series", "H", "--order", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "jumpstat: series is corrupt\n"
 
 
 def test_series_unknown_name_is_usage_error(capsys):

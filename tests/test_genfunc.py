@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from jumpstat.algebra import Poly2, Series
@@ -51,6 +53,41 @@ def test_solve_F_matches_exhaustive_counts(stat_counts_small):
             key = (stats.depth, stats.jumps)
             expected[key] = expected.get(key, 0) + mult
         assert dict(F.coefficient(n).items()) == expected
+
+
+def test_solve_F_satisfies_the_trivariate_equation():
+    # the equation solve_F no longer iterates, checked as a residual
+    F = solve_F(24)
+    at0 = F.substitute("t", 0)
+    at1 = F.substitute("t", 1)
+    rhs = (1 + (at0 * F).shift_x() * T
+           + ((at1 - at0) * F).shift_x() * (T * Q))
+    assert (F - rhs).is_zero()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 12])
+def test_solve_F_at_t_one_is_solve_H(order):
+    assert solve_F(order).substitute("t", 1) == solve_H(order)
+
+
+def test_solve_H_coefficients_are_narayana_numbers():
+    # [x^n q^k] H = C(n,k) * C(n,k+1) / n for n >= 1
+    H = solve_H(60)
+    assert H.coefficient(0) == 1
+    for n in range(1, 61):
+        expected = Poly2({(0, k): comb(n, k) * comb(n, k + 1) // n
+                          for k in range(n)})
+        assert H.coefficient(n) == expected, n
+
+
+def test_solve_Jdepth_coefficients_are_ballot_numbers():
+    # [x^n t^d] J = d / (2n - d) * C(2n - d, n) for 1 <= d <= n
+    J = solve_Jdepth(60)
+    assert J.coefficient(0) == 1
+    for n in range(1, 61):
+        expected = Poly2({(d, 0): d * comb(2 * n - d, n) // (2 * n - d)
+                          for d in range(1, n + 1)})
+        assert J.coefficient(n) == expected, n
 
 
 def test_radicand_factorization_is_exact():

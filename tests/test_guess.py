@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from jumpstat.guess import (AmbiguousFitError, GuessError, Limit, NoFitError,
                             RationalFunctionN, _full_column_rank_mod_p,
-                            _nullspace, fit_rational, guess_rational,
-                            limit_at_infinity)
+                            _nullspace, fit_rational, guess_rational)
 from jumpstat.moments import moment_table
 
 F = Fraction
@@ -63,9 +62,9 @@ def test_evaluate_and_poles():
 
 
 def test_limit_three_ways():
-    assert limit_at_infinity(RationalFunctionN((1,), (0, 1))) == \
+    assert RationalFunctionN((1,), (0, 1)).limit_at_infinity() == \
         Limit("zero", F(0))
-    assert limit_at_infinity(RationalFunctionN((7,), (1,))) == \
+    assert RationalFunctionN((7,), (1,)).limit_at_infinity() == \
         Limit("finite", F(7))
     assert RationalFunctionN((3, -2, -11, 6), (3, -2, -3, 2)) \
         .limit_at_infinity() == Limit("finite", F(3))

@@ -52,6 +52,22 @@ def test_jumps_table_small_rows():
         row.central_moment(1)
 
 
+def test_row_value_selects_one_column_per_kind():
+    table = moment_table("jumpdist", max_moment=4, n_max=5)
+    row = table.row(4)
+    assert row.value("raw", 2) == row.raw_moment(2)
+    assert row.value("central", 3) == row.central_moment(3)
+    assert row.value("scaled", 4) == row.scaled_even[4]
+    assert row.value("scaled_squared", 3) == row.scaled_odd_squared[3][1]
+    # undefined scaled columns read as None, untabulated orders raise
+    assert table.row(1).value("scaled", 4) is None
+    assert table.row(1).value("scaled_squared", 3) is None
+    with pytest.raises(IndexError):
+        row.value("raw", 5)
+    with pytest.raises(ValueError):
+        row.value("skew", 3)
+
+
 def test_variance_undefined_for_tiny_sizes():
     table = moment_table("jumps", max_moment=4, n_max=3)
     for n in (0, 1):
