@@ -7,7 +7,7 @@ Submodules: ``trees`` (trees, statistics, exhaustive enumeration),
 function fitting), ``cli`` (the command-line entry point).
 """
 
-from .algebra import ContractViolationError, Poly2, Series, fixed_point_solve
+from .algebra import Poly2, Series, fixed_point_solve
 from .genfunc import (SelfCheckError, Verdict, solve_catalan, solve_F,
                       solve_H, solve_Jdepth, solve_K, verify_F_closed_form,
                       verify_theorem)
@@ -23,7 +23,7 @@ from .trees import (LEAF, EnumerationCapError, Node, TreeParseError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractViolationError", "Poly2", "Series", "fixed_point_solve",
+    "Poly2", "Series", "fixed_point_solve",
     "SelfCheckError", "Verdict", "solve_catalan", "solve_F", "solve_H",
     "solve_Jdepth", "solve_K", "verify_F_closed_form", "verify_theorem",
     "AmbiguousFitError", "GuessError", "NoFitError", "RationalFunctionN",

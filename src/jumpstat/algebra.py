@@ -9,6 +9,9 @@ Two layers:
   value modulo x^(N+1); arithmetic on operands of different orders
   truncates to the smaller order, so precision loss is always explicit.
 
+Every product of two polynomials, and every convolution of series
+coefficients, goes through ``dot``: the one loop that multiplies terms.
+
 All arithmetic is exact.  Integral coefficients are stored as ``int`` and
 non-integral ones as ``fractions.Fraction``; the two mix freely and the
 choice is invisible outside this module (serialization always reports
@@ -23,10 +26,6 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 Rational = Union[int, Fraction]
 
 _MARKERS = ("t", "q")
-
-
-class ContractViolationError(RuntimeError):
-    """The map handed to fixed_point_solve is not a contraction in x."""
 
 
 def _clean_coeff(value: Rational) -> Rational:
@@ -156,20 +155,7 @@ class Poly2:
             return Poly2({key: v * other for key, v in self._terms.items()})
         if not isinstance(other, Poly2):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Poly2.zero()
-        acc: dict[tuple[int, int], Rational] = {}
-        for (at, aq), av in self._terms.items():
-            for (bt, bq), bv in other._terms.items():
-                key = (at + bt, aq + bq)
-                s = acc.get(key, 0) + av * bv
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
-        out = Poly2.__new__(Poly2)
-        out._terms = acc
-        return out
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -348,27 +334,7 @@ class Series:
             return NotImplemented
         order = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for m in range(order + 1):
-            # accumulate raw terms across the whole convolution to avoid
-            # building one intermediate Poly2 per product
-            acc: dict[tuple[int, int], Rational] = {}
-            for i in range(m + 1):
-                pa, pb = a[i], b[m - i]
-                if not pa._terms or not pb._terms:
-                    continue
-                for (at, aq), av in pa._terms.items():
-                    for (bt, bq), bv in pb._terms.items():
-                        key = (at + bt, aq + bq)
-                        s = acc.get(key, 0) + av * bv
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
-            p = Poly2.__new__(Poly2)
-            p._terms = acc
-            out.append(p)
-        return Series(out)
+        return Series([dot(a[: m + 1], b[m::-1]) for m in range(order + 1)])
 
     __rmul__ = __mul__
 
@@ -393,10 +359,7 @@ class Series:
         half = Fraction(1, 2)
         y: list[Poly2] = [Poly2.one()]
         for n in range(1, self.order + 1):
-            acc = self._coeffs[n]
-            for i in range(1, n):
-                acc = acc - y[i] * y[n - i]
-            y.append(acc * half)
+            y.append((self._coeffs[n] - dot(y[1:], y[:0:-1])) * half)
         return Series(y)
 
     def inverse(self) -> Series:
@@ -411,10 +374,7 @@ class Series:
         inv_c = 1 / c
         u: list[Poly2] = [Poly2.constant(inv_c)]
         for n in range(1, self.order + 1):
-            acc = Poly2.zero()
-            for i in range(1, n + 1):
-                acc = acc + self._coeffs[i] * u[n - i]
-            u.append(acc * -inv_c)
+            u.append(dot(self._coeffs[1: n + 1], u[::-1]) * -inv_c)
         return Series(u)
 
     def to_json(self) -> list[dict]:
@@ -444,35 +404,41 @@ class Series:
         return f"Series(order={self.order}, {self})"
 
 
-def fixed_point_solve(phi: Callable[[Series], Series], order: int) -> Series:
-    """Solve S = phi(S) to the given truncation order.
+def dot(a: Sequence[Poly2], b: Sequence[Poly2]) -> Poly2:
+    """Sum of a[i] * b[i] over the common length of a and b.
 
-    phi must be a contraction in the x-adic metric: agreement of inputs
-    modulo x^k must force agreement of outputs modulo x^(k+1).  Iteration
-    starts from the constant series 1 at order 0 and applies phi order+1
-    times, letting the reliable prefix grow by at least one order per step.
+    This is the one term-product loop: every term of every product is
+    accumulated into a single dict, so no intermediate Poly2 is built per
+    product and no partial sum is copied.
+    """
+    acc: dict[tuple[int, int], Rational] = {}
+    for pa, pb in zip(a, b):
+        for (at, aq), av in pa._terms.items():
+            for (bt, bq), bv in pb._terms.items():
+                key = (at + bt, aq + bq)
+                s = acc.get(key, 0) + av * bv
+                if s:
+                    acc[key] = s
+                elif key in acc:
+                    del acc[key]
+    out = Poly2.__new__(Poly2)
+    out._terms = acc
+    return out
 
-    Any iterate that changes an already-settled coefficient, and any run
-    that ends short of the requested order, raises ContractViolationError:
-    both prove phi is not a contraction (a contraction pins every
-    coefficient permanently once reached, and gains one order per step).
+
+def fixed_point_solve(step: Callable[[list[Poly2]], Poly2],
+                      order: int) -> Series:
+    """Solve a series coefficient by coefficient, for x^0 up to the order.
+
+    ``step(known)`` receives the list of the n coefficients solved so far
+    (x^0 .. x^(n-1)) and returns the x^n coefficient; it must not modify
+    the list.  For an equation S = 1 + x*B(S) the x^n coefficient of
+    x*B(S) reads only x^0 .. x^(n-1), so each coefficient is computed once
+    and never revised (online solving, van der Hoeven 2002).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    current = Series.one(0)
+    known: list[Poly2] = []
     for _ in range(order + 1):
-        nxt = phi(current)
-        if nxt.order > order:
-            nxt = nxt.truncate(order)
-        if not nxt.prefix_equal(current):
-            upto = min(nxt.order, current.order)
-            bad = next(n for n in range(upto + 1)
-                       if nxt.coefficient(n) != current.coefficient(n))
-            raise ContractViolationError(
-                f"iteration changed settled coefficient x^{bad}: "
-                f"{current.coefficient(bad)} -> {nxt.coefficient(bad)}")
-        current = nxt
-    if current.order < order:
-        raise ContractViolationError(
-            f"map stalled at order {current.order} before reaching {order}")
-    return current
+        known.append(step(known))
+    return Series(known)

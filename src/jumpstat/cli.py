@@ -27,7 +27,6 @@ import os
 import sys
 
 from . import genfunc, moments
-from .algebra import ContractViolationError
 from .guess import GuessError, guess_rational
 from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
                     TreeParseError, compute_stats, enumerate_trees_with_stats,
@@ -272,8 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (GuessError, genfunc.SelfCheckError,
-            ContractViolationError) as exc:
+    except (GuessError, genfunc.SelfCheckError) as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:

@@ -43,13 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Poly2, Series, fixed_point_solve
+from .algebra import Poly2, Series, dot, fixed_point_solve
 from .trees import brute_force_enumerator
 
 DEFAULT_ORACLE_CAP = 12
 
 _T = Poly2.term(1, et=1)
 _Q = Poly2.term(1, eq=1)
+_ONE_MINUS_Q = 1 - _Q
 
 THEOREM_IDS = ("0", "1", "2", "3", "4", "5", "6")
 
@@ -139,8 +140,8 @@ def jumpdist_radical(order: int) -> Series:
 @lru_cache(maxsize=8)
 def solve_catalan(order: int) -> Series:
     """f = 1 + x*f^2, the tree counter.  Coefficients are plain integers."""
-    one = Series.one(order)
-    return fixed_point_solve(lambda f: one + (f * f).shift_x(), order)
+    return fixed_point_solve(
+        lambda f: dot(f, f[::-1]) if f else Poly2.one(), order)
 
 
 def _theorem3_residual(H: Series, order: int) -> Series:
@@ -159,9 +160,10 @@ def solve_H(order: int) -> Series:
     Verified against its own closed form before being returned; failure
     means the solver stack is broken, so it raises instead of returning.
     """
-    one = Series.one(order)
-    H = fixed_point_solve(lambda H: one + (H * ((1 - _Q) + H * _Q)).shift_x(),
-                          order)
+    # x^n of x*H*((1 - q) + q*H) reads H only up to x^(n-1)
+    H = fixed_point_solve(
+        lambda H: (H[-1] * _ONE_MINUS_Q + dot(H, H[::-1]) * _Q) if H
+        else Poly2.one(), order)
     hit = _theorem3_residual(H, order).first_nonzero()
     if hit is not None:
         raise SelfCheckError(
@@ -272,8 +274,13 @@ def solve_K(order: int) -> Series:
 
 def verify_theorem(theorem: int | str, order: int,
                    oracle_cap: int = DEFAULT_ORACLE_CAP) -> Verdict:
-    """Run one identity check and report a Verdict (never raises on a
-    failed identity; raises only on unknown ids or bad arguments).
+    """Run one identity check and report a Verdict.
+
+    Ids 0, 1, 2 and 4 report a failed identity as a failing Verdict.  Ids
+    3, 5 and 6 read ``solve_H``, ``solve_Jdepth`` and ``solve_K``, which
+    check the same identity themselves and raise SelfCheckError before a
+    verdict is formed, so for those ids a failure raises.  Unknown ids and
+    bad arguments raise ValueError.
 
     For id 1 the exhaustive enumeration is compared up to
     min(order, oracle_cap); everything else runs at the full order.

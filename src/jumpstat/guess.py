@@ -313,8 +313,8 @@ def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
     return pts
 
 
-def fit_rational(points: Iterable, deg_num: int, deg_den: int,
-                 *, screen: bool = True) -> RationalFunctionN:
+def fit_rational(points: Iterable, deg_num: int,
+                 deg_den: int) -> RationalFunctionN:
     """Fit one rational function of exactly bounded degrees.
 
     Raises NoFitError when the nullspace is trivial (or a candidate fails
@@ -336,7 +336,7 @@ def fit_rational(points: Iterable, deg_num: int, deg_den: int,
         row = [a.denominator * powers[j] for j in range(deg_num + 1)]
         row += [-a.numerator * powers[j] for j in range(deg_den + 1)]
         rows.append(row)
-    if screen and _full_column_rank_mod_p(rows):
+    if _full_column_rank_mod_p(rows):
         raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
     basis = _nullspace(rows)
     if not basis:
@@ -373,8 +373,8 @@ class GuessResult:
 
 
 def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
-                   max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
-                   screen: bool = True) -> GuessResult:
+                   max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE
+                   ) -> GuessResult:
     """Search degrees for a rational function matching the points.
 
     The ``holdout`` largest points never enter a fit; a candidate must
@@ -398,8 +398,7 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
                 continue
             attempted.append((deg_num, deg_den))
             try:
-                candidate = fit_rational(fit_pts, deg_num, deg_den,
-                                         screen=screen)
+                candidate = fit_rational(fit_pts, deg_num, deg_den)
             except FitError:
                 continue
             try:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpstat.algebra import (ContractViolationError, Poly2, Series,
-                              fixed_point_solve)
+from jumpstat.algebra import Poly2, Series, dot, fixed_point_solve
 
 
 def poly(terms):
@@ -181,35 +180,59 @@ def test_series_json_shape():
     ]
 
 
-# --- fixed points -------------------------------------------------------------
+# --- the product kernel and the fixed points ----------------------------------
+
+def test_dot_sums_pairwise_products_over_the_common_length():
+    t, q = Poly2.term(1, et=1), Poly2.term(1, eq=1)
+    assert dot([t, q, Poly2.one()], [q, t]) == Poly2({(1, 1): 2})
+    assert dot([], [t]) == Poly2.zero()
+    assert dot([t + q], [t - q]) == t * t - q * q
+    assert dot([Poly2.zero(), t], [q, Poly2.zero()]).is_zero()
+
+
+def catalan_step(f):
+    # x^n of x*f^2 reads f only up to x^(n-1)
+    return dot(f, f[::-1]) if f else Poly2.one()
+
 
 def test_fixed_point_catalan():
-    solved = fixed_point_solve(
-        lambda f: Series.one(6) + (f * f).shift_x(), 6)
-    assert consts(solved) == [1, 1, 2, 5, 14, 42, 132]
+    assert consts(fixed_point_solve(catalan_step, 6)) == \
+        [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_fixed_point_constant_map():
-    assert fixed_point_solve(lambda f: Series.one(5), 5) == Series.one(5)
+    def step(known):
+        return Poly2.zero() if known else Poly2.one()
+
+    assert fixed_point_solve(step, 5) == Series.one(5)
 
 
 def test_fixed_point_result_is_a_fixed_point():
-    def step(f):
-        return Series.one(8) + (f * f).shift_x()
-
-    solved = fixed_point_solve(step, 8)
-    assert step(solved).truncate(8) == solved
+    solved = fixed_point_solve(catalan_step, 8)
+    # checked with Series arithmetic, independent of the step's indexing
+    assert Series.one(8) + (solved * solved).shift_x().truncate(8) == solved
 
 
-def test_fixed_point_rejects_non_contraction():
-    with pytest.raises(ContractViolationError):
-        fixed_point_solve(lambda f: f + 1, 4)
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_fixed_point_calls_step_once_per_coefficient(order):
+    seen = []
+
+    def step(known):
+        seen.append(len(known))
+        return catalan_step(known)
+
+    solved = fixed_point_solve(step, order)
+    assert seen == list(range(order + 1))
+    assert solved.order == order
+    assert consts(solved) == [1, 1, 2, 5, 14, 42, 132][: order + 1]
 
 
-def test_fixed_point_rejects_stalling_map():
-    # the identity map never extends precision and has many fixed points
-    with pytest.raises(ContractViolationError):
-        fixed_point_solve(lambda f: f, 4)
+def test_fixed_point_rejects_negative_order():
+    def step(known):
+        raise AssertionError("step must not run")
+
+    with pytest.raises(ValueError):
+        fixed_point_solve(step, -1)
 
 
 # --- algebraic laws on random small values ------------------------------------
@@ -219,6 +242,34 @@ coeffs = st.fractions(
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(exponents, coeffs, max_size=4).map(Poly2)
 series3 = st.lists(polys, min_size=4, max_size=4).map(Series)
+
+
+def naive_series_product(a, b):
+    """x-convolution as a sum of single-term Poly2 products over i + j = m."""
+    order = min(a.order, b.order)
+    out = []
+    for m in range(order + 1):
+        acc = Poly2.zero()
+        for i in range(m + 1):
+            for (at, aq), av in a.coefficient(i).items():
+                for (bt, bq), bv in b.coefficient(m - i).items():
+                    acc = acc + Poly2.term(av * bv, at + bt, aq + bq)
+        out.append(acc)
+    return Series(out)
+
+
+mixed_coeffs = st.one_of(st.integers(-5, 5), coeffs)
+sparse_polys = st.one_of(
+    st.just(Poly2.zero()),
+    st.dictionaries(exponents, mixed_coeffs, max_size=4).map(Poly2))
+sparse_series = st.integers(0, 5).flatmap(
+    lambda n: st.lists(sparse_polys, min_size=n + 1, max_size=n + 1)).map(Series)
+
+
+@given(sparse_series, sparse_series)
+@settings(max_examples=80)
+def test_series_product_matches_naive_convolution(a, b):
+    assert a * b == naive_series_product(a, b)
 
 
 @given(polys, polys, polys)

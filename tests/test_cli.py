@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from jumpstat import cli, genfunc
-from jumpstat.algebra import ContractViolationError
 from jumpstat.cli import main
 from jumpstat.trees import catalan
 
@@ -92,8 +95,7 @@ def test_series_alias_and_bad_order(capsys):
     assert "--order" in err
 
 
-@pytest.mark.parametrize("error", [genfunc.SelfCheckError,
-                                   ContractViolationError])
+@pytest.mark.parametrize("error", [genfunc.SelfCheckError])
 def test_solver_failure_exits_1_with_message(capsys, monkeypatch, error):
     def broken(order):
         raise error("series is corrupt")
@@ -269,3 +271,23 @@ def test_env_applies_to_moments_nmax(capsys, monkeypatch):
     code, out, _ = run(capsys, "moments", "jumps", "--format", "csv")
     assert code == 0
     assert len(out.splitlines()) == 5  # header + sizes 0..3
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_tracer_still_binds_the_layers(tmp_path):
+    # perfbench/tracer.py rebinds layer functions by name; a refactor that
+    # unbinds one of them must fail here, not only in the benchmark
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(out),
+         "moments", "jumps", "--nmax", "6"],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text())
+    for span in ("algebra.fixed_point", "algebra.mul", "algebra.sqrt",
+                 "genfunc.solve_H"):
+        assert trace["spans"][span]["calls"] >= 1, span
+    assert trace["counters"]["algebra.fixed_point.iterations"] == 7

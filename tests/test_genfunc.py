@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from jumpstat import genfunc
 from jumpstat.algebra import Poly2, Series
 from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               catalan_radical, inner_radicand,
@@ -22,6 +23,14 @@ def test_solve_catalan_counts_trees():
     f = solve_catalan(20)
     for n in range(21):
         assert f.coefficient(n) == catalan(n)
+
+
+def test_solve_catalan_matches_the_closed_form_to_order_200():
+    # C(2n, n)/(n + 1) is independent of the solver; 200 is the order
+    # that `moments jumpdist --nmax 200` solves
+    f = solve_catalan(200)
+    for n in range(201):
+        assert f.coefficient(n) == comb(2 * n, n) // (n + 1)
 
 
 def test_catalan_radical_identity():
@@ -201,3 +210,15 @@ def test_verdict_is_frozen():
 
 def test_self_check_error_is_runtime_error():
     assert issubclass(SelfCheckError, RuntimeError)
+
+
+def test_self_checking_ids_raise_instead_of_failing(monkeypatch):
+    # id 5 reads solve_Jdepth, whose own closed-form check fails first
+    solve_Jdepth.cache_clear()
+    monkeypatch.setattr(genfunc, "catalan_radical",
+                        lambda order: Series.one(order))
+    try:
+        with pytest.raises(SelfCheckError, match="depth series"):
+            verify_theorem("5", 8)
+    finally:
+        solve_Jdepth.cache_clear()

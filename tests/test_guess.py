@@ -102,8 +102,8 @@ def test_no_fit_for_non_rational_data():
     primes = [(1, 2), (2, 3), (3, 5), (4, 7), (5, 11), (6, 13)]
     with pytest.raises(NoFitError):
         fit_rational(primes, 1, 0)
-    with pytest.raises(NoFitError):
-        fit_rational(primes, 1, 0, screen=False)
+    # the exact elimination alone, without the mod-p screen, agrees
+    assert _nullspace([[1, n, -a] for n, a in primes]) == []
 
 
 def test_candidate_reproduction_guard_catches_cancellation():
@@ -112,7 +112,7 @@ def test_candidate_reproduction_guard_catches_cancellation():
     # but the reduced candidate (the constant 1) does not reproduce it
     points = [(1, 9), (2, 1), (3, 1), (4, 1)]
     with pytest.raises(NoFitError, match="reproduce"):
-        fit_rational(points, 1, 1, screen=False)
+        fit_rational(points, 1, 1)
 
 
 def test_fit_input_validation():
@@ -237,6 +237,5 @@ def test_fit_round_trips_random_rational_functions(num, den):
     assume(len(points) >= dn + dd + 2)
     fitted = fit_rational(points, dn, dd)
     assert fitted == rf
-    assert fit_rational(points, dn, dd, screen=False) == rf
     result = guess_rational(points, holdout=3, max_total_degree=dn + dd)
     assert result.formula == rf
