@@ -21,9 +21,10 @@ cross-multiplied into the form (polynomial)*series + (polynomial + radical)
 = 0 and checked coefficient by coefficient, which is exact at any order.
 
 ``verify_theorem`` runs the identity for one of the ids 0..6 and returns a
-machine-readable Verdict; the solvers for H, J, and K also run their own
-identity internally and raise SelfCheckError on failure, so a corrupted
-series can never leak into the moment pipeline.
+machine-readable Verdict.  Ids 3, 5 and 6 report the self-checks of the
+solvers for H, J and K, which check their identity once per solve and
+raise SelfCheckError on failure, so a corrupted series can never leak
+into the moment pipeline.
 
 Verdict ids:
 
@@ -87,13 +88,22 @@ class Verdict:
         }
 
 
-def verdict_from_residual(theorem: str, order: int, residual: Series) -> Verdict:
-    """Pass iff the residual series is identically zero."""
-    hit = residual.first_nonzero()
-    if hit is None:
-        return Verdict(theorem, order, True)
-    n, poly = hit
-    return Verdict(theorem, order, False, FirstFailure(n, poly))
+def _first_failure(*residuals: Series) -> FirstFailure | None:
+    """Lowest nonzero coefficient of the first residual that has one."""
+    for residual in residuals:
+        hit = residual.first_nonzero()
+        if hit is not None:
+            return FirstFailure(*hit)
+    return None
+
+
+def _self_checked(series: Series, residual: Series, what: str) -> Series:
+    """The series if its closed-form residual vanishes, else SelfCheckError."""
+    hit = _first_failure(residual)
+    if hit is not None:
+        raise SelfCheckError(
+            f"{what} series failed its closed form at x^{hit.n}: {hit.residual}")
+    return series
 
 
 # --- radicals ---------------------------------------------------------------
@@ -164,11 +174,7 @@ def solve_H(order: int) -> Series:
     H = fixed_point_solve(
         lambda H: (H[-1] * _ONE_MINUS_Q + dot(H, H[::-1]) * _Q) if H
         else Poly2.one(), order)
-    hit = _theorem3_residual(H, order).first_nonzero()
-    if hit is not None:
-        raise SelfCheckError(
-            f"jumps series failed its closed form at x^{hit[0]}: {hit[1]}")
-    return H
+    return _self_checked(H, _theorem3_residual(H, order), "jumps")
 
 
 @lru_cache(maxsize=4)
@@ -198,9 +204,6 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
     elif F.order < order:
         raise ValueError(f"series order {F.order} is below requested {order}")
     factor_diff = printed_radicand(order) - inner_radicand(order) * Poly2({(2, 0): 1})
-    hit = factor_diff.first_nonzero()
-    if hit is not None:
-        return Verdict("2", order, False, FirstFailure(hit[0], hit[1]))
     # 2*(qtx + t^2x - tx - t + 1): x^0 -> 2 - 2t, x^1 -> 2qt + 2t^2 - 2t
     den = _x_poly(
         [Poly2({(0, 0): 2, (1, 0): -2}),
@@ -210,7 +213,8 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
         [Poly2({(1, 0): 1, (0, 0): -2}),
          Poly2({(1, 0): 1, (1, 1): -1})], order)
     residual = den * F + lin + jumps_radical(order) * _T
-    return verdict_from_residual("2", order, residual)
+    hit = _first_failure(factor_diff, residual)
+    return Verdict("2", order, hit is None, hit)
 
 
 def _theorem5_residual(J: Series, order: int) -> Series:
@@ -228,11 +232,7 @@ def solve_Jdepth(order: int) -> Series:
     """
     f = solve_catalan(order)
     J = (1 - (f * _T).shift_x()).inverse().truncate(order)
-    hit = _theorem5_residual(J, order).first_nonzero()
-    if hit is not None:
-        raise SelfCheckError(
-            f"depth series failed its closed form at x^{hit[0]}: {hit[1]}")
-    return J
+    return _self_checked(J, _theorem5_residual(J, order), "depth")
 
 
 def _theorem6_residual(K: Series, order: int) -> Series:
@@ -263,24 +263,24 @@ def solve_K(order: int) -> Series:
             acc[(0, n - et)] = v
         coeffs.append(Poly2(acc))
     K = Series(coeffs)
-    hit = _theorem6_residual(K, order).first_nonzero()
-    if hit is not None:
-        raise SelfCheckError(
-            f"jump-distance series failed its closed form at x^{hit[0]}: {hit[1]}")
-    return K
+    return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 
 
 # --- verdicts ---------------------------------------------------------------
+
+# ids whose identity the solver itself checks on every solve
+_SELF_CHECKED = {"3": solve_H, "5": solve_Jdepth, "6": solve_K}
+
 
 def verify_theorem(theorem: int | str, order: int,
                    oracle_cap: int = DEFAULT_ORACLE_CAP) -> Verdict:
     """Run one identity check and report a Verdict.
 
     Ids 0, 1, 2 and 4 report a failed identity as a failing Verdict.  Ids
-    3, 5 and 6 read ``solve_H``, ``solve_Jdepth`` and ``solve_K``, which
-    check the same identity themselves and raise SelfCheckError before a
-    verdict is formed, so for those ids a failure raises.  Unknown ids and
-    bad arguments raise ValueError.
+    3, 5 and 6 report the self-checks of ``solve_H``, ``solve_Jdepth`` and
+    ``solve_K``, which raise SelfCheckError when their identity fails, so
+    for those ids a failure raises.  Unknown ids and bad arguments raise
+    ValueError.
 
     For id 1 the exhaustive enumeration is compared up to
     min(order, oracle_cap); everything else runs at the full order.
@@ -291,43 +291,22 @@ def verify_theorem(theorem: int | str, order: int,
     if order < 0:
         raise ValueError("order must be >= 0")
 
-    if tid == "0":
-        f = solve_catalan(order)
-        fixed = f - (1 + (f * f).shift_x())
-        radical = f.shift_x() * 2 - 1 + catalan_radical(order)
-        for residual in (fixed, radical):
-            hit = residual.first_nonzero()
-            if hit is not None:
-                return Verdict(tid, order, False, FirstFailure(hit[0], hit[1]))
+    if tid in _SELF_CHECKED:
+        _SELF_CHECKED[tid](order)
         return Verdict(tid, order, True)
-
-    if tid == "1":
-        upto = min(order, oracle_cap)
-        # the cap was asked for explicitly, so it doubles as the refusal cap
-        oracle = brute_force_enumerator(upto, cap=upto)
-        F = solve_F(order)
-        for n in range(upto + 1):
-            diff = F.coefficient(n) - oracle.coefficient(n)
-            if not diff.is_zero():
-                return Verdict(tid, order, False, FirstFailure(n, diff))
-        return Verdict(tid, order, True)
-
     if tid == "2":
         return verify_F_closed_form(order)
 
-    if tid == "3":
-        H = solve_H(order)
-        return verdict_from_residual(tid, order, _theorem3_residual(H, order))
-
-    if tid == "4":
+    if tid == "0":
+        f = solve_catalan(order)
+        hit = _first_failure(f - (1 + (f * f).shift_x()),
+                             f.shift_x() * 2 - 1 + catalan_radical(order))
+    elif tid == "1":
+        upto = min(order, oracle_cap)
+        # the cap was asked for explicitly, so it doubles as the refusal cap
+        oracle = brute_force_enumerator(upto, cap=upto)
+        hit = _first_failure(solve_F(order) - oracle)
+    else:  # id 4
         J = solve_Jdepth(order)
-        at1 = J.substitute("t", 1)
-        residual = J - 1 - (at1 * J).shift_x() * _T
-        return verdict_from_residual(tid, order, residual)
-
-    if tid == "5":
-        J = solve_Jdepth(order)
-        return verdict_from_residual(tid, order, _theorem5_residual(J, order))
-
-    K = solve_K(order)
-    return verdict_from_residual("6", order, _theorem6_residual(K, order))
+        hit = _first_failure(J - 1 - (J.substitute("t", 1) * J).shift_x() * _T)
+    return Verdict(tid, order, hit is None, hit)

@@ -384,6 +384,8 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
     """
     if holdout < 1:
         raise ValueError("holdout must be >= 1: unvalidated fits are guesses")
+    if max_total_degree < 0:
+        raise ValueError("max_total_degree must be >= 0")
     pts = _clean_points(points)
     if len(pts) <= holdout + 1:
         raise ValueError(
@@ -391,11 +393,10 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
     fit_pts = pts[:-holdout]
     held = pts[-holdout:]
     attempted: list[tuple[int, int]] = []
-    for total in range(max_total_degree + 1):
+    # a pair of total degree D is fitted only from D + 2 or more points
+    for total in range(min(max_total_degree, len(fit_pts) - 2) + 1):
         for deg_den in range(total + 1):
             deg_num = total - deg_den
-            if len(fit_pts) < deg_num + deg_den + 2:
-                continue
             attempted.append((deg_num, deg_den))
             try:
                 candidate = fit_rational(fit_pts, deg_num, deg_den)

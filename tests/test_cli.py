@@ -12,6 +12,8 @@ from jumpstat import cli, genfunc
 from jumpstat.cli import main
 from jumpstat.trees import catalan
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -239,6 +241,31 @@ def test_guess_unfittable_data_fails_cleanly(capsys):
     assert "no rational function" in err
 
 
+def test_guess_huge_max_total_degree_stops_at_the_data():
+    # 8 fit points admit total degree 6 at most, so a bound of 10^9 must
+    # end as fast as a small one instead of scanning every total
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jumpstat.cli", "guess", "jumpdist",
+         "--moment", "central:10", "--n-to", "14",
+         "--max-total-degree", "1000000000"],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "jumpstat: no rational function up to total degree 1000000000 "
+        "fits the data and the 5-point holdout\n")
+
+
+def test_guess_negative_max_total_degree_is_usage_error(capsys):
+    code, out, err = run(capsys, "guess", "jumpdist", "--moment",
+                         "central:10", "--n-to", "14",
+                         "--max-total-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "jumpstat: max_total_degree must be >= 0\n"
+
+
 def test_limits_filtered(capsys):
     code, out, _ = run(capsys, "limits", "--stat", "jumps")
     assert code == 0
@@ -273,21 +300,27 @@ def test_env_applies_to_moments_nmax(capsys, monkeypatch):
     assert len(out.splitlines()) == 5  # header + sizes 0..3
 
 
-REPO = Path(__file__).resolve().parents[1]
+def _trace(tmp_path, *argv):
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(out),
+         *argv],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
 
 
 def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     # perfbench/tracer.py rebinds layer functions by name; a refactor that
     # unbinds one of them must fail here, not only in the benchmark
-    out = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(out),
-         "moments", "jumps", "--nmax", "6"],
-        env=env, cwd=REPO, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    trace = json.loads(out.read_text())
+    trace = _trace(tmp_path, "moments", "jumps", "--nmax", "6")
     for span in ("algebra.fixed_point", "algebra.mul", "algebra.sqrt",
                  "genfunc.solve_H"):
         assert trace["spans"][span]["calls"] >= 1, span
     assert trace["counters"]["algebra.fixed_point.iterations"] == 7
+    # the layers a traced cli-jumpdist run must reach through `verify 6`
+    trace = _trace(tmp_path, "verify", "6", "--order", "4")
+    for span in ("genfunc.verify", "genfunc.solve_K", "genfunc.solve_Jdepth",
+                 "genfunc.solve_catalan", "algebra.inverse", "algebra.sqrt"):
+        assert trace["spans"][span]["calls"] >= 1, span

@@ -11,8 +11,7 @@ from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               jumpdist_radical, jumps_radical,
                               printed_radicand, solve_catalan, solve_F,
                               solve_H, solve_Jdepth, solve_K,
-                              verdict_from_residual, verify_F_closed_form,
-                              verify_theorem)
+                              verify_F_closed_form, verify_theorem)
 from jumpstat.trees import brute_force_jumpdist_enumerator, catalan
 
 T = Poly2.term(1, et=1)
@@ -189,12 +188,17 @@ def test_verify_F_closed_form_rejects_short_series():
 
 
 def test_failing_verdict_reports_first_failure():
-    residual = Series.from_x_coefficients([0, 0, Poly2.term(2, eq=1)], 4)
-    verdict = verdict_from_residual("2", 4, residual)
+    # 2q*x^2 added to F meets the x^0 factor 2 - 2t of the cross-multiplied
+    # closed form, so the residual first fails at x^2 with 4q - 4tq
+    wrong = solve_F(4) + Series.from_x_coefficients(
+        [0, 0, Poly2.term(2, eq=1)], 4)
+    verdict = verify_F_closed_form(4, F=wrong)
     assert not verdict.passed
-    assert verdict.first_failure == FirstFailure(2, Poly2.term(2, eq=1))
+    assert verdict.first_failure == FirstFailure(
+        2, Poly2({(0, 1): 4, (1, 1): -4}))
     assert verdict.to_json()["first_failure"] == {
-        "n": 2, "residual_terms": [{"et": 0, "eq": 1, "num": 2, "den": 1}]}
+        "n": 2, "residual_terms": [{"et": 0, "eq": 1, "num": 4, "den": 1},
+                                   {"et": 1, "eq": 1, "num": -4, "den": 1}]}
 
 
 def test_solvers_are_cached():
@@ -212,13 +216,43 @@ def test_self_check_error_is_runtime_error():
     assert issubclass(SelfCheckError, RuntimeError)
 
 
+def _clear_self_checking_caches():
+    for solver in (solve_H, solve_Jdepth, solve_K):
+        solver.cache_clear()
+
+
 def test_self_checking_ids_raise_instead_of_failing(monkeypatch):
-    # id 5 reads solve_Jdepth, whose own closed-form check fails first
-    solve_Jdepth.cache_clear()
-    monkeypatch.setattr(genfunc, "catalan_radical",
-                        lambda order: Series.one(order))
+    # ids 3, 5 and 6 report their solver's self-check, which raises when
+    # the radical its closed form reads is wrong
+    for theorem, radical, what in (("3", "jumps_radical", "jumps series"),
+                                   ("5", "catalan_radical", "depth series"),
+                                   ("6", "jumpdist_radical",
+                                    "jump-distance series")):
+        _clear_self_checking_caches()
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(genfunc, radical,
+                                lambda order: Series.one(order))
+                with pytest.raises(SelfCheckError, match=what):
+                    verify_theorem(theorem, 8)
+        finally:
+            _clear_self_checking_caches()
+
+
+@pytest.mark.parametrize("theorem", ["3", "5", "6"])
+def test_verify_theorem_evaluates_each_identity_once(monkeypatch, theorem):
+    # the solver's self-check is the only evaluation of the identity
+    residual = getattr(genfunc, f"_theorem{theorem}_residual")
+    orders = []
+
+    def counted(series, order):
+        orders.append(order)
+        return residual(series, order)
+
+    monkeypatch.setattr(genfunc, f"_theorem{theorem}_residual", counted)
+    _clear_self_checking_caches()
     try:
-        with pytest.raises(SelfCheckError, match="depth series"):
-            verify_theorem("5", 8)
+        assert verify_theorem(theorem, 10).passed
     finally:
-        solve_Jdepth.cache_clear()
+        _clear_self_checking_caches()
+    assert orders == [10]
