@@ -8,12 +8,17 @@ in exact arithmetic:
 * a fraction-free (Bareiss) elimination over the integers finds the rank
   and an echelon form; nullspace vectors come from back-substitution over
   Fractions.  No floating point anywhere.
-* before eliminating, the matrix is screened modulo the prime 2^61 - 1:
-  full column rank mod p forces full rank over the rationals (reduction
-  can only lose rank), so most hopeless degree pairs are rejected without
-  big-integer work.  The screen can only reject, never accept; every
-  returned fit comes from the exact elimination and is re-verified against
-  every input point.
+* before eliminating, the points are screened modulo the prime 2^61 - 1
+  by rational reconstruction (von zur Gathen & Gerhard, *Modern Computer
+  Algebra*, 5.7-5.9): one extended Euclidean pass of prod(n - n_i)
+  against the interpolant of the values gives the nullity mod p of the
+  fit matrix at every degree pair at once.  Nullity 0 mod p forces full
+  rank over the rationals (reduction can only lose rank), so most
+  hopeless degree pairs are rejected without big-integer work.  The
+  screen can only reject, never accept; every returned fit comes from the
+  exact elimination and is re-verified against every input point.  When
+  the pass does not apply (a value's denominator or the difference of two
+  sample points is divisible by p) nothing is screened.
 
 ``guess_rational`` wraps the fit in a degree search (increasing total
 degree, smaller denominator degree first) with a mandatory holdout: the
@@ -271,34 +276,98 @@ def _nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
     return basis
 
 
-def _full_column_rank_mod_p(rows: list[list[int]], p: int = _SCREEN_PRIME) -> bool:
-    """True if the matrix has full column rank modulo p.  Full rank mod p
-    implies full rank over Q (reduction never gains rank), which proves
-    the nullspace is trivial; anything less proves nothing."""
-    mat = [[e % p for e in row] for row in rows]
-    m = len(mat)
-    u = len(mat[0])
-    if m < u:
-        return False
-    r = 0
-    for c in range(u):
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            return False
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        row_r = mat[r]
-        for j in range(c, u):
-            row_r[j] = row_r[j] * inv % p
-        for i in range(r + 1, m):
-            f = mat[i][c]
-            if f:
-                row_i = mat[i]
-                for j in range(c, u):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
-        r += 1
-    return True
+def _fit_rows(pts: Sequence[tuple[int, Fraction]], deg_num: int,
+              deg_den: int) -> list[list[int]]:
+    """Integer matrix of p(n_i) * den(a_i) - q(n_i) * num(a_i) = 0 in the
+    coefficients of p (degree <= deg_num) then q (degree <= deg_den)."""
+    rows = []
+    for n, a in pts:
+        powers = [n ** j for j in range(max(deg_num, deg_den) + 1)]
+        row = [a.denominator * powers[j] for j in range(deg_num + 1)]
+        row += [-a.numerator * powers[j] for j in range(deg_den + 1)]
+        rows.append(row)
+    return rows
+
+
+def _rem_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a by b mod p; both ascending and without a zero
+    leading coefficient, and so is the result (empty for zero)."""
+    p = _SCREEN_PRIME
+    a = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > db:
+        f = a.pop() * inv % p
+        if f:
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - f * b[i]) % p
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _reconstruction_steps(pts: Sequence[tuple[int, Fraction]]
+                          ) -> list[tuple[int, int]] | None:
+    """(deg r_j, deg t_j) for j >= 1 over the extended Euclidean algorithm
+    of M = prod(n - n_i) against the interpolant A of the values, mod p,
+    where r_j = s_j M + t_j A; the final zero remainder has degree -1.
+
+    None when a value's denominator is 0 mod p or two sample points are
+    congruent mod p: the values then define no interpolant mod p.
+    """
+    p = _SCREEN_PRIME
+    xs = [n % p for n, _ in pts]
+    if len(set(xs)) < len(xs) or any(a.denominator % p == 0 for _, a in pts):
+        return None
+    m = len(xs)
+    big_m = [1]
+    for x in xs:
+        big_m = [(lo - x * hi) % p for lo, hi in zip([0, *big_m], [*big_m, 0])]
+    # Lagrange: A = sum of y_i * Q_i / Q_i(x_i), with Q_i = M / (n - x_i)
+    interp = [0] * m
+    for (_, a), x in zip(pts, xs):
+        y = a.numerator * pow(a.denominator, -1, p) % p
+        if not y:
+            continue
+        quot = [0] * m
+        acc = 0
+        for k in range(m, 0, -1):
+            acc = (big_m[k] + x * acc) % p
+            quot[k - 1] = acc
+        at_x = 0
+        for c in reversed(quot):
+            at_x = (at_x * x + c) % p
+        scale = y * pow(at_x, -1, p) % p
+        interp = [(c + scale * q) % p for c, q in zip(interp, quot)]
+    while interp and not interp[-1]:
+        interp.pop()
+    # deg t_j = deg M - deg r_(j-1) (von zur Gathen & Gerhard, Lemma 3.10)
+    steps = []
+    r0, r1 = big_m, interp
+    while r1:
+        steps.append((len(r1) - 1, m - (len(r0) - 1)))
+        r0, r1 = r1, _rem_mod_p(r0, r1)
+    steps.append((-1, m - (len(r0) - 1)))
+    return steps
+
+
+def _nullity_mod_p(steps: list[tuple[int, int]], deg_num: int,
+                   deg_den: int) -> int:
+    """Nullity mod p of the fit matrix at (deg_num, deg_den), read from
+    the steps of ``_reconstruction_steps`` over m points, for
+    deg_num + deg_den + 2 <= m.
+
+    The fits mod p are the pairs with num = A * den mod M.  Take the first
+    step with deg r_j <= deg_num; every such pair is c * (r_j, t_j) for a
+    polynomial c (von zur Gathen & Gerhard, Theorem 5.16), so the fits
+    form a space of dimension min(deg_num - deg r_j, deg_den - deg t_j) + 1.
+    """
+    deg_r, deg_t = next(step for step in steps if step[0] <= deg_num)
+    room = deg_den - deg_t
+    if deg_r >= 0:  # a zero r_j puts no bound on deg c
+        room = min(room, deg_num - deg_r)
+    return max(0, room + 1)
 
 
 def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
@@ -330,15 +399,10 @@ def fit_rational(points: Iterable, deg_num: int,
         raise ValueError(
             f"need at least {u} points for degrees ({deg_num}, {deg_den}), "
             f"got {len(pts)}")
-    rows = []
-    for n, a in pts:
-        powers = [n ** j for j in range(max(deg_num, deg_den) + 1)]
-        row = [a.denominator * powers[j] for j in range(deg_num + 1)]
-        row += [-a.numerator * powers[j] for j in range(deg_den + 1)]
-        rows.append(row)
-    if _full_column_rank_mod_p(rows):
+    steps = _reconstruction_steps(pts)
+    if steps is not None and _nullity_mod_p(steps, deg_num, deg_den) == 0:
         raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
-    basis = _nullspace(rows)
+    basis = _nullspace(_fit_rows(pts, deg_num, deg_den))
     if not basis:
         raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
     if len(basis) > 1:
@@ -381,6 +445,8 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
     reproduce all of them exactly (poles included) or the search moves
     on.  Degree pairs are tried in increasing total degree, and within a
     total in increasing denominator degree.  The first acceptance wins.
+    One mod-p reconstruction pass over the fit points screens every pair;
+    only the pairs it cannot reject reach ``fit_rational``.
     """
     if holdout < 1:
         raise ValueError("holdout must be >= 1: unvalidated fits are guesses")
@@ -393,11 +459,16 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
     fit_pts = pts[:-holdout]
     held = pts[-holdout:]
     attempted: list[tuple[int, int]] = []
+    steps = _reconstruction_steps(fit_pts)
     # a pair of total degree D is fitted only from D + 2 or more points
     for total in range(min(max_total_degree, len(fit_pts) - 2) + 1):
         for deg_den in range(total + 1):
             deg_num = total - deg_den
             attempted.append((deg_num, deg_den))
+            # the screen fit_rational would make, read from the one pass
+            if steps is not None and _nullity_mod_p(steps, deg_num,
+                                                    deg_den) == 0:
+                continue
             try:
                 candidate = fit_rational(fit_pts, deg_num, deg_den)
             except FitError:

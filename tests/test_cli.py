@@ -324,3 +324,10 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     for span in ("genfunc.verify", "genfunc.solve_K", "genfunc.solve_Jdepth",
                  "genfunc.solve_catalan", "algebra.inverse", "algebra.sqrt"):
         assert trace["spans"][span]["calls"] >= 1, span
+    # the layers of a traced cli-guess run; guess_rational must reach
+    # fit_rational through its module-level name
+    trace = _trace(tmp_path, "guess", "jumpdist", "--moment", "central:2",
+                   "--n-to", "16", "--max-total-degree", "10")
+    for span in ("guess.guess_rational", "guess.fit", "moments.moment_table",
+                 "genfunc.solve_K"):
+        assert trace["spans"][span]["calls"] >= 1, span

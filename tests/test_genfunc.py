@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -96,6 +97,31 @@ def test_solve_Jdepth_coefficients_are_ballot_numbers():
         expected = Poly2({(d, 0): d * comb(2 * n - d, n) // (2 * n - d)
                           for d in range(1, n + 1)})
         assert J.coefficient(n) == expected, n
+
+
+def _trivariate_F_coefficient(n: int, d: int, k: int) -> Fraction:
+    # Lagrange inversion of A = x(1 + A)(1 + qA), A = H - 1, and
+    # [t^d] F = (x(1 + qA))^d: for 1 <= d < n and k >= 1,
+    # [x^n t^d q^k] F = d / (n - d) * C(n - d, k) * C(n - 1, k - 1)
+    if n == 0 or d == n:
+        return int(d == n and k == 0)
+    if 1 <= d < n and k >= 1:
+        return Fraction(d, n - d) * comb(n - d, k) * comb(n - 1, k - 1)
+    return 0
+
+
+def test_solve_F_matches_the_integer_oracle_to_order_40():
+    F = solve_F(40)
+    nonzero = 0
+    for n in range(41):
+        got = dict(F.coefficient(n).items())
+        for d in range(n + 1):
+            for k in range(n + 1):
+                assert got.pop((d, k), 0) == \
+                    _trivariate_F_coefficient(n, d, k), (n, d, k)
+                nonzero += _trivariate_F_coefficient(n, d, k) != 0
+        assert got == {}, n
+    assert nonzero == 10701
 
 
 def test_radicand_factorization_is_exact():

@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jumpstat.guess import (AmbiguousFitError, GuessError, Limit, NoFitError,
-                            RationalFunctionN, _full_column_rank_mod_p,
-                            _nullspace, fit_rational, guess_rational)
+                            RationalFunctionN, _clean_points, _fit_rows,
+                            _nullity_mod_p, _nullspace, _reconstruction_steps,
+                            fit_rational, guess_rational)
 from jumpstat.moments import moment_table
 
 F = Fraction
+P = (1 << 61) - 1
 
 MEAN_POINTS = [(n, F(n - 1, 2)) for n in range(1, 9)]
 
@@ -209,15 +211,131 @@ def test_nullspace_vectors_annihilate_and_count(rows):
     assert len(basis) == len(rows[0]) - rank
 
 
-@given(matrices)
-def test_mod_p_screen_is_sound(rows):
-    if _full_column_rank_mod_p(rows):
-        assert _nullspace(rows) == []
-
-
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 polys = st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
                  max_size=3)
+
+
+# --- the mod-p screen against Gaussian elimination mod p ----------------------
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix modulo P, by Gaussian elimination: the
+    oracle for the nullity that rational reconstruction reads off."""
+    mat = [[e % P for e in row] for row in rows]
+    rank = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        piv = mat[rank]
+        inv = pow(piv[c], -1, P)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv % P
+            if f:
+                mat[i] = [(a - f * b) % P for a, b in zip(mat[i], piv)]
+        rank += 1
+    return rank
+
+
+def _admissible_pairs(m: int):
+    return [(dn, total - dn) for total in range(m - 1)
+            for dn in range(total + 1)]
+
+
+def _assert_nullity_matches_oracle(points) -> int:
+    pts = _clean_points(points)
+    steps = _reconstruction_steps(pts)
+    assert steps is not None
+    pairs = _admissible_pairs(len(pts))
+    for dn, dd in pairs:
+        oracle = dn + dd + 2 - _rank_mod_p(_fit_rows(pts, dn, dd))
+        assert _nullity_mod_p(steps, dn, dd) == oracle, (pts, dn, dd)
+    return len(pairs)
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+sample_points = st.lists(st.integers(min_value=-25, max_value=40),
+                         min_size=2, max_size=12, unique=True)
+
+
+@st.composite
+def point_sets(draw):
+    """Points from random rationals, small rational functions (poles
+    dropped), all zeros, or a few repeated values."""
+    ns = draw(sample_points)
+    kind = draw(st.sampled_from(["random", "function", "zeros", "repeats"]))
+    if kind == "random":
+        return [(n, draw(small_rationals)) for n in ns]
+    if kind == "zeros":
+        return [(n, F(0)) for n in ns]
+    if kind == "repeats":
+        pool = draw(st.lists(small_rationals, min_size=1, max_size=3))
+        return [(n, draw(st.sampled_from(pool))) for n in ns]
+    num = draw(polys)
+    den = draw(polys.filter(any))
+    points = []
+    for n in ns:
+        d = sum(c * n ** j for j, c in enumerate(den))
+        if d:
+            points.append((n, F(sum(c * n ** j for j, c in enumerate(num)), d)))
+    assume(len(points) >= 2)
+    return points
+
+
+@given(point_sets())
+def test_reconstruction_nullity_matches_gaussian_elimination(points):
+    _assert_nullity_matches_oracle(points)
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_reconstruction_nullity_on_every_moment_column(stat):
+    table = moment_table(stat, max_moment=10, n_max=18)
+    columns = [("raw", r) for r in range(1, 11)]
+    columns += [("central", r) for r in range(2, 11)]
+    checked = 0
+    for kind, r in columns:
+        checked += _assert_nullity_matches_oracle(
+            [(n, table.row(n).value(kind, r)) for n in range(2, 19)])
+    assert checked == len(columns) * 136
+
+
+@given(point_sets(), st.data())
+def test_mod_p_screen_is_sound(points, data):
+    # a pair the screen rejects has no exact fit either
+    pts = _clean_points(points)
+    dn, dd = data.draw(st.sampled_from(_admissible_pairs(len(pts))))
+    steps = _reconstruction_steps(pts)
+    if steps is not None and _nullity_mod_p(steps, dn, dd) == 0:
+        assert _nullspace(_fit_rows(pts, dn, dd)) == []
+
+
+# --- when the screen does not apply, the exact elimination decides -----------
+
+def test_value_with_denominator_divisible_by_p_falls_back():
+    rf = RationalFunctionN((1,), (0, 1))   # 1/n: its value at n = -P is -1/P
+    points = [(-P, F(-1, P))] + [(n, F(1, n)) for n in range(1, 9)]
+    assert _reconstruction_steps(_clean_points(points)) is None
+    assert fit_rational(points, 0, 1) == rf
+    with pytest.raises(NoFitError):
+        fit_rational(points, 1, 0)
+    result = guess_rational(points, holdout=3)
+    assert (result.formula, result.degrees) == (rf, (0, 1))
+
+
+def test_sample_points_congruent_mod_p_fall_back():
+    rf = RationalFunctionN((-1, 0, 1), (-4, 8))   # (n^2 - 1)/(8n - 4)
+    points = [(n, rf.evaluate(n)) for n in [1 - P, *range(1, 10)]]
+    assert _reconstruction_steps(_clean_points(points)) is None
+    assert fit_rational(points, 2, 1) == rf
+    with pytest.raises(AmbiguousFitError):
+        fit_rational(points, 3, 2)
+    result = guess_rational(points, holdout=3)
+    assert (result.formula, result.degrees) == (rf, (2, 1))
+    with pytest.raises(GuessError) as exc:
+        guess_rational(points, holdout=3, max_total_degree=2)
+    assert exc.value.attempted == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                   (0, 2)]
 
 
 @settings(max_examples=40)
