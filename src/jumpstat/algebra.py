@@ -3,7 +3,7 @@
 Two layers:
 
 * ``Poly2`` — a sparse polynomial in the two markers ``t`` and ``q`` with
-  exact rational coefficients.  This is the coefficient ring.
+  integer coefficients.  This is the coefficient ring.
 * ``Series`` — a power series in ``x`` truncated at a fixed order, whose
   coefficients are ``Poly2`` values.  A series of order N represents its
   value modulo x^(N+1); arithmetic on operands of different orders
@@ -12,33 +12,23 @@ Two layers:
 Every product of two polynomials, and every convolution of series
 coefficients, goes through ``dot``: the one loop that multiplies terms.
 
-All arithmetic is exact.  Integral coefficients are stored as ``int`` and
-non-integral ones as ``fractions.Fraction``; the two mix freely and the
-choice is invisible outside this module (serialization always reports
-numerator and denominator).
+Every series the package builds counts trees, so every coefficient is an
+``int`` and all arithmetic is exact integer arithmetic.  The two
+operations that would divide stay in the ring or refuse: ``sqrt`` halves
+exactly and raises on an odd coefficient, and ``inverse`` needs an x^0
+term of 1 or -1.  Serialization still reports each coefficient as a
+numerator over the denominator 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
-
-Rational = Union[int, Fraction]
+from typing import Callable, Iterable, Mapping, Sequence
 
 _MARKERS = ("t", "q")
 
 
-def _clean_coeff(value: Rational) -> Rational:
-    """Normalize a coefficient: exact rational, ints preferred over Fractions."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
-
-
 class Poly2:
-    """Sparse polynomial in the markers t and q over exact rationals.
+    """Sparse polynomial in the markers t and q with integer coefficients.
 
     Terms map exponent pairs (e_t, e_q) to nonzero coefficients; zero
     coefficients are never stored, so the zero polynomial has no terms.
@@ -47,15 +37,17 @@ class Poly2:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Rational] | None = None):
-        clean: dict[tuple[int, int], Rational] = {}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        clean: dict[tuple[int, int], int] = {}
         if terms:
             for (et, eq), value in terms.items():
                 if et < 0 or eq < 0:
                     raise ValueError(f"negative exponent ({et}, {eq})")
-                v = _clean_coeff(value)
-                if v:
-                    clean[(et, eq)] = v
+                if not isinstance(value, int):
+                    raise TypeError("coefficient must be an int, got "
+                                    f"{type(value).__name__}")
+                if value:
+                    clean[(et, eq)] = value
         self._terms = clean
 
     @classmethod
@@ -67,18 +59,18 @@ class Poly2:
         return cls({(0, 0): 1})
 
     @classmethod
-    def constant(cls, value: Rational) -> Poly2:
+    def constant(cls, value: int) -> Poly2:
         return cls({(0, 0): value})
 
     @classmethod
-    def term(cls, coeff: Rational, et: int = 0, eq: int = 0) -> Poly2:
+    def term(cls, coeff: int, et: int = 0, eq: int = 0) -> Poly2:
         return cls({(et, eq): coeff})
 
-    def items(self) -> Iterable[tuple[tuple[int, int], Rational]]:
+    def items(self) -> Iterable[tuple[tuple[int, int], int]]:
         return self._terms.items()
 
-    def coefficient(self, et: int, eq: int) -> Fraction:
-        return Fraction(self._terms.get((et, eq), 0))
+    def coefficient(self, et: int, eq: int) -> int:
+        return self._terms.get((et, eq), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -86,11 +78,11 @@ class Poly2:
     def is_constant(self) -> bool:
         return all(key == (0, 0) for key in self._terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial, as a Fraction."""
+    def constant_value(self) -> int:
+        """The value of a constant polynomial."""
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms.get((0, 0), 0))
+        return self._terms.get((0, 0), 0)
 
     def degree_t(self) -> int:
         """Largest t-exponent, or -1 for the zero polynomial."""
@@ -106,18 +98,15 @@ class Poly2:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly2):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            value = _clean_coeff(other)
-            if value == 0:
-                return not self._terms
-            return self._terms == {(0, 0): value}
+        if isinstance(other, int):
+            return self._terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
     def __neg__(self) -> Poly2:
         return Poly2({key: -v for key, v in self._terms.items()})
 
-    def __add__(self, other: Poly2 | Rational) -> Poly2:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: Poly2 | int) -> Poly2:
+        if isinstance(other, int):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
@@ -138,18 +127,18 @@ class Poly2:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Poly2 | Rational) -> Poly2:
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: Poly2 | int) -> Poly2:
+        if isinstance(other, int):
             other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Rational) -> Poly2:
+    def __rsub__(self, other: int) -> Poly2:
         return Poly2.constant(other) - self
 
-    def __mul__(self, other: Poly2 | Rational) -> Poly2:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Poly2 | int) -> Poly2:
+        if isinstance(other, int):
             if not other:
                 return Poly2.zero()
             return Poly2({key: v * other for key, v in self._terms.items()})
@@ -166,7 +155,7 @@ class Poly2:
         if value not in (0, 1):
             raise ValueError(f"substitution value must be 0 or 1, got {value!r}")
         pos = _MARKERS.index(marker)
-        acc: dict[tuple[int, int], Rational] = {}
+        acc: dict[tuple[int, int], int] = {}
         for key, v in self._terms.items():
             if value == 0 and key[pos] != 0:
                 continue
@@ -182,7 +171,7 @@ class Poly2:
 
     def q_derivative(self) -> Poly2:
         """Formal partial derivative with respect to q."""
-        acc: dict[tuple[int, int], Rational] = {}
+        acc: dict[tuple[int, int], int] = {}
         for (et, eq), v in self._terms.items():
             if eq:
                 acc[(et, eq - 1)] = v * eq
@@ -191,12 +180,12 @@ class Poly2:
         return out
 
     def to_json_terms(self) -> list[dict[str, int]]:
-        """Deterministic term list: [{'et':, 'eq':, 'num':, 'den':}, ...]."""
-        out = []
-        for (et, eq) in sorted(self._terms):
-            c = Fraction(self._terms[(et, eq)])
-            out.append({"et": et, "eq": eq, "num": c.numerator, "den": c.denominator})
-        return out
+        """Deterministic term list: [{'et':, 'eq':, 'num':, 'den': 1}, ...].
+
+        ``den`` is always 1; it is kept so the JSON schema stays stable.
+        """
+        return [{"et": et, "eq": eq, "num": self._terms[(et, eq)], "den": 1}
+                for (et, eq) in sorted(self._terms)]
 
     def __str__(self) -> str:
         if not self._terms:
@@ -244,12 +233,12 @@ class Series:
         return cls([Poly2.one()] + [Poly2.zero()] * order)
 
     @classmethod
-    def constant(cls, value: Poly2 | Rational, order: int) -> Series:
+    def constant(cls, value: Poly2 | int, order: int) -> Series:
         head = value if isinstance(value, Poly2) else Poly2.constant(value)
         return cls([head] + [Poly2.zero()] * order)
 
     @classmethod
-    def from_x_coefficients(cls, coeffs: Sequence[Poly2 | Rational], order: int) -> Series:
+    def from_x_coefficients(cls, coeffs: Sequence[Poly2 | int], order: int) -> Series:
         """Series with the given x-coefficients, zero-padded to the order."""
         if len(coeffs) > order + 1:
             raise ValueError("more coefficients than the order admits")
@@ -301,7 +290,7 @@ class Series:
     def _coerce(self, other) -> Series | None:
         if isinstance(other, Series):
             return other
-        if isinstance(other, (Poly2, int, Fraction)):
+        if isinstance(other, (Poly2, int)):
             return Series.constant(other, self.order)
         return None
 
@@ -328,7 +317,7 @@ class Series:
         return rhs - self
 
     def __mul__(self, other) -> Series:
-        if isinstance(other, (Poly2, int, Fraction)):
+        if isinstance(other, (Poly2, int)):
             return Series([c * other for c in self._coeffs])
         if not isinstance(other, Series):
             return NotImplemented
@@ -350,31 +339,33 @@ class Series:
         """Square root of a series with constant term exactly 1.
 
         Coefficients come from expanding y*y = s: the x^n coefficient of
-        y*y is 2*y_n + sum(y_i * y_{n-i}, 0 < i < n), so
-        y_n = (s_n - sum(y_i * y_{n-i}, 0 < i < n)) / 2.
+        y*y is 2*y_n + sum(y_i * y_{n-i}, 0 < i < n), so 2*y_n is
+        s_n - sum(y_i * y_{n-i}, 0 < i < n).  Each of its terms is halved
+        exactly; an odd term means the root has no integer coefficients,
+        and raises ValueError naming its x-index.
         """
-        if self._coeffs[0] != Poly2.one():
+        if self._coeffs[0] != 1:
             raise ValueError("sqrt needs constant term exactly 1, got "
                              f"{self._coeffs[0]}")
-        half = Fraction(1, 2)
         y: list[Poly2] = [Poly2.one()]
         for n in range(1, self.order + 1):
-            y.append((self._coeffs[n] - dot(y[1:], y[:0:-1])) * half)
+            twice = self._coeffs[n] - dot(y[1:], y[:0:-1])
+            if any(v & 1 for _, v in twice.items()):
+                raise ValueError(
+                    f"sqrt has no integer coefficient at x^{n}: ({twice})/2")
+            y.append(Poly2({key: v >> 1 for key, v in twice.items()}))
         return Series(y)
 
     def inverse(self) -> Series:
-        """Multiplicative inverse of a series whose constant term is a
-        nonzero rational (no markers)."""
+        """Multiplicative inverse of a series whose x^0 term is 1 or -1,
+        the units of the coefficient ring; each is its own inverse."""
         head = self._coeffs[0]
-        if not head.is_constant():
-            raise ValueError(f"inverse needs a constant x^0 term, got {head}")
-        c = head.constant_value()
-        if c == 0:
-            raise ValueError("inverse needs a nonzero x^0 term")
-        inv_c = 1 / c
-        u: list[Poly2] = [Poly2.constant(inv_c)]
+        if head != 1 and head != -1:
+            raise ValueError(f"inverse needs an x^0 term of 1 or -1, got {head}")
+        minus_unit = -head.constant_value()
+        u: list[Poly2] = [head]
         for n in range(1, self.order + 1):
-            u.append(dot(self._coeffs[1: n + 1], u[::-1]) * -inv_c)
+            u.append(dot(self._coeffs[1: n + 1], u[::-1]) * minus_unit)
         return Series(u)
 
     def to_json(self) -> list[dict]:
@@ -411,7 +402,7 @@ def dot(a: Sequence[Poly2], b: Sequence[Poly2]) -> Poly2:
     accumulated into a single dict, so no intermediate Poly2 is built per
     product and no partial sum is copied.
     """
-    acc: dict[tuple[int, int], Rational] = {}
+    acc: dict[tuple[int, int], int] = {}
     for pa, pb in zip(a, b):
         for (at, aq), av in pa._terms.items():
             for (bt, bq), bv in pb._terms.items():

@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
-Explicit flags always win over the environment.
+Explicit flags always win over the environment.  A value that is not an
+integer, or not one of the flag's choices, is a usage error.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ def _env_int(flag: str, fallback: int) -> int:
         raise _UsageError(f"{_env_name(flag)} must be an integer, got {raw!r}")
 
 
-def _env_str(flag: str, fallback: str) -> str:
-    return os.environ.get(_env_name(flag), fallback)
+def _env_str(flag: str, fallback: str, choices: list[str]) -> str:
+    raw = os.environ.get(_env_name(flag), fallback)
+    if raw not in choices:
+        raise _UsageError(
+            f"{_env_name(flag)} must be one of {', '.join(choices)}, got {raw!r}")
+    return raw
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,8 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=_env_int("--max-moment", moments.DEFAULT_MAX_MOMENT))
     p.add_argument("--nmax", type=int,
                    default=_env_int("--nmax", moments.DEFAULT_N_MAX))
-    p.add_argument("--format", choices=["json", "csv"],
-                   default=_env_str("--format", "json"))
+    formats = ["json", "csv"]
+    p.add_argument("--format", choices=formats,
+                   default=_env_str("--format", "json", formats))
     p.add_argument("--check", action="store_true",
                    help="also check the reference closed forms "
                         "(results on stderr; failures set exit code 1)")
@@ -129,8 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=_env_int("--max-total-degree", 24))
 
     p = sub.add_parser("limits", help="reference closed forms and their limits")
-    p.add_argument("--stat", choices=["all", *moments.STATS],
-                   default=_env_str("--stat", "all"))
+    stats = ["all", *moments.STATS]
+    p.add_argument("--stat", choices=stats,
+                   default=_env_str("--stat", "all", stats))
 
     return parser
 

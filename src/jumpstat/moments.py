@@ -176,7 +176,7 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
         raise ValueError("n_max must be >= 0")
     series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
 
-    def at_one(s: Series) -> list[Fraction]:
+    def at_one(s: Series) -> list[int]:
         return [c.substitute("q", 1).constant_value()
                 for c in s.coefficients()]
 
@@ -192,8 +192,7 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
         if count != catalan(n):
             raise SelfCheckError(
                 f"series tree count at x^{n} is {count}, expected {catalan(n)}")
-        b = Fraction(count)
-        m = [Fraction(1)] + [sums[r][n] / b for r in range(1, max_moment + 1)]
+        m = [Fraction(s[n], count) for s in sums]   # m[0] = 1
         central = []
         for r in range(2, max_moment + 1):
             mu = sum((comb(r, k) * (-m[1]) ** (r - k) * m[k]
@@ -211,7 +210,7 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
                     sign = (mu_r > 0) - (mu_r < 0)
                     scaled_odd[r] = (sign, mu_r ** 2 / mu2 ** r)
         rows.append(MomentRow(
-            n=n, count=int(count), raw=tuple(m[1:]), central=tuple(central),
+            n=n, count=count, raw=tuple(m[1:]), central=tuple(central),
             scaled_even=scaled_even, scaled_odd_squared=scaled_odd,
             variance_defined=mu2 > 0))
     return MomentTable(stat=stat, max_moment=max_moment, n_max=n_max,

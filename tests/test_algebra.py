@@ -20,7 +20,7 @@ def consts(series):
 # --- Poly2 -------------------------------------------------------------------
 
 def test_poly_zero_terms_are_dropped():
-    p = poly({(0, 0): Fraction(0), (1, 2): 3})
+    p = poly({(0, 0): 0, (1, 2): 3})
     assert list(p.items()) == [((1, 2), 3)]
     assert poly({(1, 1): 2}) - poly({(1, 1): 2}) == Poly2.zero()
     assert not Poly2.zero()
@@ -32,13 +32,16 @@ def test_poly_arithmetic():
     assert p + q == poly({(1, 1): 1, (2, 0): 1})
     assert (1 + p) * (1 + p) == poly({(0, 0): 1, (1, 1): 2, (2, 2): 1})
     assert 2 * p - p == p
-    assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
+    assert p * 3 + p * -2 == p
     assert (p - p) * q == Poly2.zero()
 
 
-def test_poly_integral_fractions_compare_equal():
-    assert poly({(0, 0): Fraction(4, 2)}) == poly({(0, 0): 2}) == 2
-    assert poly({(0, 0): Fraction(1, 2)}) != 1
+@pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5])
+def test_poly_rejects_non_integer_coefficients(value):
+    with pytest.raises(TypeError):
+        poly({(0, 0): value})
+    with pytest.raises(TypeError):
+        Poly2.one() * value
 
 
 def test_poly_substitute():
@@ -60,10 +63,13 @@ def test_poly_q_derivative():
 
 
 def test_poly_degrees_and_constant():
-    p = poly({(2, 1): 1, (0, 3): Fraction(1, 3)})
+    p = poly({(2, 1): 1, (0, 3): -3})
     assert p.degree_t() == 2 and p.degree_q() == 3
     assert Poly2.zero().degree_t() == -1
-    assert Poly2.constant(Fraction(7, 2)).constant_value() == Fraction(7, 2)
+    assert type(Poly2.constant(-7).constant_value()) is int
+    assert Poly2.constant(-7).constant_value() == -7
+    assert type(p.coefficient(0, 3)) is int and p.coefficient(0, 3) == -3
+    assert type(p.coefficient(5, 5)) is int and p.coefficient(5, 5) == 0
     with pytest.raises(ValueError):
         p.constant_value()
 
@@ -75,7 +81,7 @@ def test_poly_rejects_negative_exponents():
 
 def test_poly_rendering():
     assert str(poly({(1, 1): 1, (2, 0): 1})) == "t*q + t^2"
-    assert str(poly({(0, 0): -1, (1, 0): Fraction(1, 2)})) == "-1 + 1/2*t"
+    assert str(poly({(0, 0): -1, (1, 0): 5})) == "-1 + 5*t"
     assert str(Poly2.zero()) == "0"
 
 
@@ -100,7 +106,7 @@ def test_series_identity_and_scalars():
     a = Series.from_x_coefficients([3, 1, 4], 2)
     assert a * Series.one(2) == a
     assert a * 1 == a
-    assert (a * Fraction(1, 3)).coefficient(0) == Poly2.constant(1)
+    assert (a * -2).coefficient(0) == Poly2.constant(-6)
     assert (1 - a).coefficient(0) == Poly2.constant(-2)
     assert (a - a).is_zero()
 
@@ -138,6 +144,15 @@ def test_sqrt_with_marker_coefficients():
     assert (root * root) == radicand
 
 
+def test_sqrt_refuses_an_odd_coefficient():
+    # 1 + x would need the root 1 + x/2 + ...
+    with pytest.raises(ValueError, match=r"x\^1:"):
+        Series.from_x_coefficients([1, 1], 3).sqrt()
+    # (1 + x)^2 + x^2: 2*y_2 = 2 - 1 is odd
+    with pytest.raises(ValueError, match=r"x\^2:"):
+        Series.from_x_coefficients([1, 2, 2], 3).sqrt()
+
+
 def test_sqrt_requires_unit_constant_term():
     with pytest.raises(ValueError):
         Series.from_x_coefficients([4, 1], 3).sqrt()
@@ -148,19 +163,20 @@ def test_sqrt_requires_unit_constant_term():
 def test_inverse_of_geometric():
     inv = Series.from_x_coefficients([1, -1], 5).inverse()
     assert consts(inv) == [1, 1, 1, 1, 1, 1]
-    half = Series.constant(Fraction(2), 3).inverse()
-    assert consts(half) == [Fraction(1, 2), 0, 0, 0]
 
 
 def test_inverse_roundtrip_with_markers():
     t = Poly2.term(1, et=1)
-    s = Series.from_x_coefficients([Poly2.constant(2), t, t * t], 7)
+    s = Series.from_x_coefficients([Poly2.constant(-1), t, t * t], 7)
     assert s * s.inverse() == Series.one(7)
 
 
 def test_inverse_preconditions():
     with pytest.raises(ValueError):
         Series.zero(3).inverse()
+    # 2 is not a unit of the integers: no integer series inverts it
+    with pytest.raises(ValueError):
+        Series.from_x_coefficients([2, 1], 3).inverse()
     # a marker-bearing constant term must be rejected, not divided by
     with pytest.raises(ValueError):
         Series.constant(Poly2.term(2, eq=1), 3).inverse()
@@ -173,10 +189,10 @@ def test_first_nonzero():
 
 
 def test_series_json_shape():
-    s = Series.from_x_coefficients([Poly2.one(), Poly2.term(Fraction(1, 2), et=1)], 1)
+    s = Series.from_x_coefficients([Poly2.one(), Poly2.term(-3, et=1)], 1)
     assert s.to_json() == [
         {"n": 0, "terms": [{"et": 0, "eq": 0, "num": 1, "den": 1}]},
-        {"n": 1, "terms": [{"et": 1, "eq": 0, "num": 1, "den": 2}]},
+        {"n": 1, "terms": [{"et": 1, "eq": 0, "num": -3, "den": 1}]},
     ]
 
 
@@ -237,8 +253,9 @@ def test_fixed_point_rejects_negative_order():
 
 # --- algebraic laws on random small values ------------------------------------
 
-coeffs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6)
+# small values, and values near +-2^70 so that products are bignums
+small = st.integers(-4, 4)
+coeffs = small | small.map(lambda d: 2**70 + d) | small.map(lambda d: d - 2**70)
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(exponents, coeffs, max_size=4).map(Poly2)
 series3 = st.lists(polys, min_size=4, max_size=4).map(Series)
@@ -258,10 +275,9 @@ def naive_series_product(a, b):
     return Series(out)
 
 
-mixed_coeffs = st.one_of(st.integers(-5, 5), coeffs)
 sparse_polys = st.one_of(
     st.just(Poly2.zero()),
-    st.dictionaries(exponents, mixed_coeffs, max_size=4).map(Poly2))
+    st.dictionaries(exponents, coeffs, max_size=4).map(Poly2))
 sparse_series = st.integers(0, 5).flatmap(
     lambda n: st.lists(sparse_polys, min_size=n + 1, max_size=n + 1)).map(Series)
 
@@ -294,11 +310,11 @@ def test_series_ring_laws(a, b, c):
 @given(series3)
 @settings(max_examples=50)
 def test_sqrt_squares_back(tail):
-    s = Series.one(4) + tail.shift_x()
-    assert s.sqrt() * s.sqrt() == s
+    y = Series.one(4) + tail.shift_x()
+    assert (y * y).sqrt() == y
 
 
-@given(series3, st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+@given(series3, st.sampled_from([1, -1]))
 @settings(max_examples=50)
 def test_inverse_multiplies_back(tail, head):
     s = Series.constant(head, 4) + tail.shift_x()

@@ -293,6 +293,18 @@ def test_invalid_env_value_is_usage_error(capsys, monkeypatch):
     assert "JUMPSTAT_ORDER" in err
 
 
+@pytest.mark.parametrize("var, value, argv", [
+    ("JUMPSTAT_FORMAT", "xml", ("moments", "jumps", "--nmax", "3")),
+    ("JUMPSTAT_STAT", "foo", ("limits",)),
+])
+def test_env_value_outside_the_choices_is_usage_error(capsys, monkeypatch,
+                                                      var, value, argv):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert var in err and repr(value) in err
+
+
 def test_env_applies_to_moments_nmax(capsys, monkeypatch):
     monkeypatch.setenv("JUMPSTAT_NMAX", "3")
     code, out, _ = run(capsys, "moments", "jumps", "--format", "csv")

@@ -124,6 +124,13 @@ def test_solve_F_matches_the_integer_oracle_to_order_40():
     assert nonzero == 10701
 
 
+@pytest.mark.parametrize(
+    "solver", [solve_catalan, solve_F, solve_H, solve_Jdepth, solve_K])
+def test_solver_coefficients_are_ints(solver):
+    values = [v for c in solver(12).coefficients() for _, v in c.items()]
+    assert values and all(type(v) is int for v in values)
+
+
 def test_radicand_factorization_is_exact():
     t_sq = Poly2({(2, 0): 1})
     assert printed_radicand(6) == inner_radicand(6) * t_sq

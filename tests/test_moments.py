@@ -119,6 +119,15 @@ def test_central_moments_match_distribution_directly(stat_counts_small):
         assert table.row(n).central_moment(r) == direct
 
 
+def test_moment_values_are_exact_fractions():
+    # a float slipping in through / would fail here
+    for row in moment_table("jumpdist", 6, 12).rows:
+        values = [*row.raw, *row.central, *row.scaled_even.values(),
+                  *(v for _, v in row.scaled_odd_squared.values())]
+        assert all(type(v) is Fraction for v in values), row.n
+    assert row.scaled_even and row.scaled_odd_squared
+
+
 def test_moment_table_input_validation():
     with pytest.raises(ValueError):
         moment_table("depth")
