@@ -169,16 +169,6 @@ class Poly2:
         out._terms = acc
         return out
 
-    def q_derivative(self) -> Poly2:
-        """Formal partial derivative with respect to q."""
-        acc: dict[tuple[int, int], int] = {}
-        for (et, eq), v in self._terms.items():
-            if eq:
-                acc[(et, eq - 1)] = v * eq
-        out = Poly2.__new__(Poly2)
-        out._terms = acc
-        return out
-
     def to_json_terms(self) -> list[dict[str, int]]:
         """Deterministic term list: [{'et':, 'eq':, 'num':, 'den': 1}, ...].
 

@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
-Explicit flags always win over the environment.  A value that is not an
-integer, or not one of the flag's choices, is a usage error.
+Explicit flags always win: a variable is read only for a flag of the
+chosen subcommand that argv leaves out.  A value read that way that is
+not an integer, or not one of the flag's choices, is a usage error.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import json
 import os
 import sys
 
-from . import genfunc, moments
-from .guess import GuessError, guess_rational
+from . import genfunc, guess, moments
 from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
-                    TreeParseError, compute_stats, enumerate_trees_with_stats,
-                    format_tree, parse_tree)
+                    compute_stats, enumerate_trees_with_stats, format_tree,
+                    parse_tree)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,26 +59,38 @@ class _UsageError(Exception):
     pass
 
 
-def _env_name(flag: str) -> str:
-    return "JUMPSTAT_" + flag.lstrip("-").upper().replace("-", "_")
+class _EnvDefault:
+    """Default of a value-taking flag: JUMPSTAT_<FLAG> if set, else the
+    fallback.  Resolved after parsing, so only the chosen subcommand's
+    flags that argv leaves out read the environment."""
+
+    def __init__(self, flag: str, fallback, choices: list[str] | None = None):
+        self.name = "JUMPSTAT_" + flag.lstrip("-").upper().replace("-", "_")
+        self.fallback, self.choices = fallback, choices
+
+    def __str__(self) -> str:   # what %(default)s shows in --help
+        return str(self.fallback)
+
+    def resolve(self):
+        raw = os.environ.get(self.name)
+        if raw is None:
+            return self.fallback
+        if self.choices is None:
+            try:
+                return int(raw)
+            except ValueError:
+                raise _UsageError(
+                    f"{self.name} must be an integer, got {raw!r}") from None
+        if raw not in self.choices:
+            raise _UsageError(f"{self.name} must be one of "
+                              f"{', '.join(self.choices)}, got {raw!r}")
+        return raw
 
 
-def _env_int(flag: str, fallback: int) -> int:
-    raw = os.environ.get(_env_name(flag))
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{_env_name(flag)} must be an integer, got {raw!r}")
-
-
-def _env_str(flag: str, fallback: str, choices: list[str]) -> str:
-    raw = os.environ.get(_env_name(flag), fallback)
-    if raw not in choices:
-        raise _UsageError(
-            f"{_env_name(flag)} must be one of {', '.join(choices)}, got {raw!r}")
-    return raw
+def _flag(p: argparse.ArgumentParser, flag: str, fallback,
+          choices: list[str] | None = None, **kw) -> None:
+    p.add_argument(flag, type=None if choices else int, choices=choices,
+                   default=_EnvDefault(flag, fallback, choices), **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,33 +104,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all trees of a size")
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=_env_int("--cap", DEFAULT_ENUMERATION_CAP),
-                   help="refuse sizes above this (default %(default)s)")
+    _flag(p, "--cap", DEFAULT_ENUMERATION_CAP,
+          help="refuse sizes above this (default %(default)s)")
     p.add_argument("--with-stats", action="store_true",
                    help="print JSON lines with statistics instead of bare trees")
 
     p = sub.add_parser("series", help="print a solved series as JSON")
     p.add_argument("name", choices=sorted(SERIES_ALIASES),
                    help="f/catalan, F/trivariate, H/jumps, J/depth, K/jumpdist")
-    p.add_argument("--order", type=int, default=_env_int("--order", 10))
+    _flag(p, "--order", 10)
 
     p = sub.add_parser("verify", help="check one identity, print a verdict")
     p.add_argument("theorem", choices=list(genfunc.THEOREM_IDS))
-    p.add_argument("--order", type=int, default=_env_int("--order", 40))
-    p.add_argument("--oracle-cap", type=int,
-                   default=_env_int("--oracle-cap", genfunc.DEFAULT_ORACLE_CAP),
-                   help="exhaustive-enumeration bound for id 1 "
-                        "(default %(default)s)")
+    _flag(p, "--order", 40)
+    _flag(p, "--oracle-cap", genfunc.DEFAULT_ORACLE_CAP,
+          help="exhaustive-enumeration bound for id 1 (default %(default)s)")
 
     p = sub.add_parser("moments", help="exact moment table")
     p.add_argument("stat", choices=list(moments.STATS))
-    p.add_argument("--max-moment", type=int,
-                   default=_env_int("--max-moment", moments.DEFAULT_MAX_MOMENT))
-    p.add_argument("--nmax", type=int,
-                   default=_env_int("--nmax", moments.DEFAULT_N_MAX))
-    formats = ["json", "csv"]
-    p.add_argument("--format", choices=formats,
-                   default=_env_str("--format", "json", formats))
+    _flag(p, "--max-moment", moments.DEFAULT_MAX_MOMENT)
+    _flag(p, "--nmax", moments.DEFAULT_N_MAX)
+    _flag(p, "--format", "json", ["json", "csv"])
     p.add_argument("--check", action="store_true",
                    help="also check the reference closed forms "
                         "(results on stderr; failures set exit code 1)")
@@ -128,16 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moment", required=True,
                    help="mean | variance | raw:R | central:R | scaled:R "
                         "(odd scaled moments use their squared values)")
-    p.add_argument("--n-from", type=int, default=_env_int("--n-from", 2))
-    p.add_argument("--n-to", type=int, default=_env_int("--n-to", 40))
-    p.add_argument("--holdout", type=int, default=_env_int("--holdout", 5))
-    p.add_argument("--max-total-degree", type=int,
-                   default=_env_int("--max-total-degree", 24))
+    _flag(p, "--n-from", 2)
+    _flag(p, "--n-to", 40)
+    _flag(p, "--holdout", guess.DEFAULT_HOLDOUT)
+    _flag(p, "--max-total-degree", guess.DEFAULT_MAX_TOTAL_DEGREE)
 
     p = sub.add_parser("limits", help="reference closed forms and their limits")
-    stats = ["all", *moments.STATS]
-    p.add_argument("--stat", choices=stats,
-                   default=_env_str("--stat", "all", stats))
+    _flag(p, "--stat", "all", ["all", *moments.STATS])
 
     return parser
 
@@ -224,17 +227,13 @@ def _cmd_guess(args) -> int:
     if args.n_to <= args.n_from:
         raise _UsageError("--n-to must exceed --n-from")
     table = moments.moment_table(args.stat, max_moment=r, n_max=args.n_to)
-    start = max(args.n_from, 0)
-    if kind.startswith("scaled"):
-        # scaled moments only exist where the variance is positive
-        start = max(start, 2)
     points = []
-    for n in range(start, args.n_to + 1):
+    for n in range(max(args.n_from, 0), args.n_to + 1):
         value = table.row(n).value(kind, r)
         if value is not None:
             points.append((n, value))
-    result = guess_rational(points, holdout=args.holdout,
-                            max_total_degree=args.max_total_degree)
+    result = guess.guess_rational(points, holdout=args.holdout,
+                                  max_total_degree=args.max_total_degree)
     out = {"stat": args.stat, "moment": {"kind": kind, "r": r},
            "points": {"from": points[0][0], "to": points[-1][0],
                       "holdout": args.holdout}}
@@ -262,23 +261,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        args = _build_parser().parse_args(argv)
-    except _UsageError as exc:  # bad environment default
-        print(f"jumpstat: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        for dest, value in list(vars(args).items()):
+            if isinstance(value, _EnvDefault):
+                setattr(args, dest, value.resolve())
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
-        print(f"jumpstat: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TreeParseError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EnumerationCapError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (GuessError, genfunc.SelfCheckError) as exc:
+    except (guess.GuessError, genfunc.SelfCheckError) as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,12 +1,15 @@
 """Exact moment tables for the jump statistics, and their closed forms.
 
 For a statistic with weight series sum(c_n(q) * x^n), applying the
-operator q*d/dq a total of r times and then setting q=1 turns the x^n
-coefficient into sum(value^r) over all trees of size n.  Dividing by the
-tree count gives the raw moment m_r; moments about the mean follow from
-the binomial transform
+operator q*d/dq a total of r times multiplies each q^k term by k^r, so
+the sum of the coefficient values at x^n is s_r = sum(value^r) over all
+trees of size n.  With c = s_0 the tree count, the raw moment is
+m_r = s_r / c, and the moment about the mean is one exact quotient of
+integers,
 
-    mu_r = sum(binomial(r, k) * (-m_1)^(r-k) * m_k, k=0..r).
+    mu_r = sum(binomial(r, k) * c^k * s_k * (-s_1)^(r-k), k=0..r) / c^(r+1),
+
+the sum over trees of (c*value - s_1)^r divided by c^(r+1).
 
 Scaled moments divide by the appropriate power of the variance: even
 orders as mu_2k / mu_2^k, odd orders as the pair (sign of mu_r,
@@ -42,25 +45,25 @@ DEFAULT_N_MAX = 60
 
 STATS = ("jumps", "jumpdist")
 
-_Q = Poly2.term(1, eq=1)
-
 
 def q_log_derivative_power(series: Series, r: int) -> Series:
-    """Apply (q * d/dq) to every coefficient, r times.
+    """Apply (q * d/dq) to every coefficient r times: each q^k term times k^r.
 
     The input must be free of the t marker (take it out first by
     substitution); anything else is an upstream mistake worth an error.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
+    out = []
     for n, c in enumerate(series.coefficients()):
-        if c.degree_t() > 0:
-            raise ValueError(
-                f"series still carries the t marker at x^{n}: {c}")
-    out = series
-    for _ in range(r):
-        out = Series([c.q_derivative() * _Q for c in out.coefficients()])
-    return out
+        terms = {}
+        for (et, eq), v in c.items():
+            if et:
+                raise ValueError(
+                    f"series still carries the t marker at x^{n}: {c}")
+            terms[(0, eq)] = v * eq ** r
+        out.append(Poly2(terms))
+    return Series(out)
 
 
 @dataclass(frozen=True)
@@ -176,29 +179,23 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
         raise ValueError("n_max must be >= 0")
     series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
 
-    def at_one(s: Series) -> list[int]:
-        return [c.substitute("q", 1).constant_value()
-                for c in s.coefficients()]
-
-    sums = [at_one(series)]           # sums[r][n] = sum of value^r over trees
-    cur = series
-    for _ in range(max_moment):
-        cur = q_log_derivative_power(cur, 1)
-        sums.append(at_one(cur))
+    # sums[r][n] = sum of value^r over the trees of size n
+    sums = [[sum(v for _, v in c.items())
+             for c in q_log_derivative_power(series, r).coefficients()]
+            for r in range(max_moment + 1)]
 
     rows = []
     for n in range(n_max + 1):
-        count = sums[0][n]
+        count, s1 = sums[0][n], sums[1][n]
         if count != catalan(n):
             raise SelfCheckError(
                 f"series tree count at x^{n} is {count}, expected {catalan(n)}")
         m = [Fraction(s[n], count) for s in sums]   # m[0] = 1
-        central = []
-        for r in range(2, max_moment + 1):
-            mu = sum((comb(r, k) * (-m[1]) ** (r - k) * m[k]
-                      for k in range(r + 1)), Fraction(0))
-            central.append(mu)
-        mu2 = central[0] if central else Fraction(0)
+        central = [
+            Fraction(sum(comb(r, k) * count ** k * sums[k][n] * (-s1) ** (r - k)
+                         for k in range(r + 1)), count ** (r + 1))
+            for r in range(2, max_moment + 1)]
+        mu2 = central[0] if central else 0
         scaled_even: dict[int, Fraction] = {}
         scaled_odd: dict[int, tuple[int, Fraction]] = {}
         if mu2 > 0:

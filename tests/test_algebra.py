@@ -56,12 +56,6 @@ def test_poly_substitute():
         p.substitute("t", 2)
 
 
-def test_poly_q_derivative():
-    p = poly({(0, 0): 1, (0, 1): 3, (0, 2): 1})   # 1 + 3q + q^2
-    assert p.q_derivative() == poly({(0, 0): 3, (0, 1): 2})
-    assert Poly2.one().q_derivative() == Poly2.zero()
-
-
 def test_poly_degrees_and_constant():
     p = poly({(2, 1): 1, (0, 3): -3})
     assert p.degree_t() == 2 and p.degree_q() == 3

@@ -305,6 +305,20 @@ def test_env_value_outside_the_choices_is_usage_error(capsys, monkeypatch,
     assert var in err and repr(value) in err
 
 
+@pytest.mark.parametrize("var, value, argv", [
+    ("JUMPSTAT_FORMAT", "xml", ("limits", "--stat", "jumps")),
+    ("JUMPSTAT_ORDER", "soon", ("series", "f", "--order", "3")),
+    ("JUMPSTAT_CAP", "x", ("stats", ".")),
+])
+def test_env_value_of_an_unused_flag_is_ignored(capsys, monkeypatch,
+                                                var, value, argv):
+    # a variable is read only for the chosen subcommand's flags that argv
+    # leaves out
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
 def test_env_applies_to_moments_nmax(capsys, monkeypatch):
     monkeypatch.setenv("JUMPSTAT_NMAX", "3")
     code, out, _ = run(capsys, "moments", "jumps", "--format", "csv")
@@ -331,6 +345,10 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
                  "genfunc.solve_H"):
         assert trace["spans"][span]["calls"] >= 1, span
     assert trace["counters"]["algebra.fixed_point.iterations"] == 7
+    # moment_table must reach q_log_derivative_power through its
+    # module-level name
+    for span in ("moments.moment_table", "moments.q_log_derivative"):
+        assert trace["spans"][span]["calls"] >= 1, span
     # the layers a traced cli-jumpdist run must reach through `verify 6`
     trace = _trace(tmp_path, "verify", "6", "--order", "4")
     for span in ("genfunc.verify", "genfunc.solve_K", "genfunc.solve_Jdepth",

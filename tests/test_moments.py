@@ -28,6 +28,16 @@ def test_q_log_derivative_turns_counts_into_power_sums():
     assert first_k.coefficient(2).substitute("q", 1).constant_value() == 1
 
 
+@pytest.mark.parametrize("solve", [solve_H, solve_K])
+def test_q_log_derivative_powers_compose(solve):
+    # (q d/dq)^(a+b) = (q d/dq)^b (q d/dq)^a: k^(a+b) = k^a * k^b per term
+    S = solve(8)
+    for a in range(4):
+        for b in range(4):
+            assert q_log_derivative_power(S, a + b) == q_log_derivative_power(
+                q_log_derivative_power(S, a), b), (a, b)
+
+
 def test_q_log_derivative_rejects_t_marker_and_bad_r():
     with pytest.raises(ValueError, match="t marker"):
         q_log_derivative_power(solve_Jdepth(4), 1)
@@ -108,15 +118,16 @@ def test_raw_moments_match_exhaustive_power_sums(stat, field,
 
 
 def test_central_moments_match_distribution_directly(stat_counts_small):
-    table = moment_table("jumpdist", max_moment=5, n_max=7)
-    n = 7
-    values = [(stats.jumpdist, mult)
-              for stats, mult in stat_counts_small[n].items()]
-    b = catalan(n)
-    mean = F(sum(v * m for v, m in values), b)
-    for r in range(2, 6):
-        direct = sum(m * (F(v) - mean) ** r for v, m in values) / b
-        assert table.row(n).central_moment(r) == direct
+    for stat in ("jumps", "jumpdist"):
+        table = moment_table(stat, max_moment=6, n_max=8)
+        for n in range(9):
+            values = [(getattr(stats, stat), mult)
+                      for stats, mult in stat_counts_small[n].items()]
+            b = catalan(n)
+            mean = F(sum(v * m for v, m in values), b)
+            for r in range(2, 7):
+                direct = sum(m * (v - mean) ** r for v, m in values) / b
+                assert table.row(n).central_moment(r) == direct, (stat, n, r)
 
 
 def test_moment_values_are_exact_fractions():
