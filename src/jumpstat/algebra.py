@@ -51,6 +51,14 @@ class Poly2:
         self._terms = clean
 
     @classmethod
+    def _trusted(cls, terms: dict[tuple[int, int], int]) -> Poly2:
+        """Wrap terms without checking or copying them: the caller built the
+        dict from valid terms, nonnegative exponents and nonzero ints."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> Poly2:
         return cls()
 
@@ -121,9 +129,7 @@ class Poly2:
                 acc[key] = s
             elif key in acc:
                 del acc[key]
-        out = Poly2.__new__(Poly2)
-        out._terms = acc
-        return out
+        return Poly2._trusted(acc)
 
     __radd__ = __add__
 
@@ -165,9 +171,7 @@ class Poly2:
                 acc[new] = s
             elif new in acc:
                 del acc[new]
-        out = Poly2.__new__(Poly2)
-        out._terms = acc
-        return out
+        return Poly2._trusted(acc)
 
     def to_json_terms(self) -> list[dict[str, int]]:
         """Deterministic term list: [{'et':, 'eq':, 'num':, 'den': 1}, ...].
@@ -402,9 +406,7 @@ def dot(a: Sequence[Poly2], b: Sequence[Poly2]) -> Poly2:
                     acc[key] = s
                 elif key in acc:
                     del acc[key]
-    out = Poly2.__new__(Poly2)
-    out._terms = acc
-    return out
+    return Poly2._trusted(acc)
 
 
 def fixed_point_solve(step: Callable[[list[Poly2]], Poly2],

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Poly2, Series, dot, fixed_point_solve
-from .trees import brute_force_enumerator
+from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
+                    brute_force_enumerator, catalan)
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -283,7 +284,9 @@ def verify_theorem(theorem: int | str, order: int,
     ValueError.
 
     For id 1 the exhaustive enumeration is compared up to
-    min(order, oracle_cap); everything else runs at the full order.
+    min(order, oracle_cap); everything else runs at the full order.  A
+    size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError before
+    any work happens.
     """
     tid = str(theorem)
     if tid not in THEOREM_IDS:
@@ -303,6 +306,11 @@ def verify_theorem(theorem: int | str, order: int,
                              f.shift_x() * 2 - 1 + catalan_radical(order))
     elif tid == "1":
         upto = min(order, oracle_cap)
+        if upto > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"oracle size {upto} ({catalan(upto)} trees) exceeds the "
+                f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
+                f"at most {DEFAULT_ENUMERATION_CAP}")
         # the cap was asked for explicitly, so it doubles as the refusal cap
         oracle = brute_force_enumerator(upto, cap=upto)
         hit = _first_failure(solve_F(order) - oracle)

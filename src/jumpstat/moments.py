@@ -61,8 +61,9 @@ def q_log_derivative_power(series: Series, r: int) -> Series:
             if et:
                 raise ValueError(
                     f"series still carries the t marker at x^{n}: {c}")
-            terms[(0, eq)] = v * eq ** r
-        out.append(Poly2(terms))
+            if eq or not r:  # k^r is 0 for a q^0 term when r > 0
+                terms[(0, eq)] = v * eq ** r
+        out.append(Poly2._trusted(terms))
     return Series(out)
 
 

@@ -21,6 +21,16 @@ All four obey simple compositional rules over ``[L,R]`` (see
 ``compute_stats``), and the identity ``jumpdist + depth == internal`` holds
 for every tree.
 
+Trees of one size are listed two ways, both exhaustive and both applying
+the rules once per tree to its children's statistics (``_compose``):
+
+* ``enumerate_trees`` and ``enumerate_trees_with_stats`` stream every tree
+  with its statistics in memory linear in the size.
+* The brute-force series enumerators, the oracles for the solvers, build
+  no trees: for each size below the top one they keep a level of compact
+  records, one int per tree, and compose each record of the next size from
+  a left and a right record.  The top size streams into its counts.
+
 Everything here is iterative with explicit stacks; trees hundreds of
 thousands of vertices deep parse, format, and measure without touching the
 interpreter's recursion limit.
@@ -29,7 +39,9 @@ interpreter's recursion limit.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .algebra import Poly2, Series
@@ -273,6 +285,19 @@ def enumerate_trees_with_stats(
 _LEAF_PAIR = (LEAF, _LEAF_STATS)
 
 
+def _compose(ls: TreeStats, rs: TreeStats) -> TreeStats:
+    """Statistics of ``[L,R]`` from those of L and R (rules in compute_stats).
+
+    Each statistic is R's value plus a term that depends on L alone, so
+    ``_compose(ls, rs)`` equals rs plus ``_compose(ls, _LEAF_STATS)`` field
+    by field; the memoized levels rely on this.
+    """
+    return TreeStats(ls.internal + rs.internal + 1,
+                     rs.jumps if ls.internal == 0 else ls.jumps + rs.jumps + 1,
+                     rs.depth + 1,
+                     ls.jumpdist + rs.jumpdist + ls.depth)
+
+
 def _enumerate_with_stats(n: int) -> Iterator[tuple[Node | Leaf, TreeStats]]:
     if n == 0:
         yield _LEAF_PAIR
@@ -280,23 +305,57 @@ def _enumerate_with_stats(n: int) -> Iterator[tuple[Node | Leaf, TreeStats]]:
     for i in range(n):
         for left, ls in _enumerate_with_stats(i):
             for right, rs in _enumerate_with_stats(n - 1 - i):
-                jumps = rs.jumps if i == 0 else ls.jumps + rs.jumps + 1
-                yield Node(left, right), TreeStats(
-                    internal=n,
-                    jumps=jumps,
-                    depth=rs.depth + 1,
-                    jumpdist=ls.jumpdist + rs.jumpdist + ls.depth,
-                )
+                yield Node(left, right), _compose(ls, rs)
+
+
+# A level record packs (jumps, depth, jumpdist) of one tree into one int, a
+# field of _FIELD bits each.  Every statistic of a size-n tree is at most n,
+# far below 2**_FIELD for any size that can be enumerated, so fields never
+# carry into each other and adding two records adds them field by field.
+_FIELD = 8
+_MASK = (1 << _FIELD) - 1
+
+
+def _pack(st: TreeStats) -> int:
+    return st.jumps | st.depth << _FIELD | st.jumpdist << 2 * _FIELD
+
+
+def _unpack(n: int, record: int) -> TreeStats:
+    return TreeStats(n, record & _MASK, record >> _FIELD & _MASK,
+                     record >> 2 * _FIELD)
+
+
+def _level_records(n: int, levels: list[array]) -> Iterator[int]:
+    """One record per tree of size n, composed from the stored levels[k],
+    k < n: the record of ``[L,R]`` is R's record plus that of ``[L,.]``."""
+    if n == 0:
+        return iter((_pack(_LEAF_STATS),))
+    return chain.from_iterable(
+        map(_pack(_compose(_unpack(i, left), _LEAF_STATS)).__add__,
+            levels[n - 1 - i])
+        for i in range(n) for left in levels[i])
 
 
 def _weight_enumerator(n_max: int, cap: int, key) -> Series:
     """Series whose x^n coefficient counts the trees of size n by
-    key(stats) = (t exponent, q exponent)."""
+    key(stats) = (t exponent, q exponent).  Sizes below n_max are kept as
+    levels, one 4-byte record per tree; size n_max streams into its counts.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_cap(n_max, cap)
-    return Series([Poly2(Counter(key(st) for _, st in _enumerate_with_stats(n)))
-                   for n in range(n_max + 1)])
+    levels: list[array] = []
+    coeffs = []
+    for n in range(n_max + 1):
+        records = _level_records(n, levels)
+        if n < n_max:
+            levels.append(array("I", records))
+            records = levels[n]
+        terms: Counter = Counter()
+        for record, count in Counter(records).items():
+            terms[key(_unpack(n, record))] += count
+        coeffs.append(Poly2(terms))
+    return Series(coeffs)
 
 
 def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Series:
@@ -304,7 +363,10 @@ def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Se
     sum of t^depth * q^jumps over every tree with n internal vertices.
 
     Exponential in n_max; this is the ground truth the series solvers are
-    measured against, so it must stay dead simple.
+    measured against.  Still one record per tree, composed from its
+    children's records by the enumeration's rules; the records of each
+    smaller size are memoized, so no tree is built and no subtree walked
+    twice.
     """
     return _weight_enumerator(n_max, cap, lambda st: (st.depth, st.jumps))
 

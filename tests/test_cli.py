@@ -131,6 +131,14 @@ def test_verify_all_ids_quick(capsys):
         assert json.loads(out)["pass"] is True
 
 
+def test_verify_oracle_cap_above_the_ceiling_exits_3(capsys):
+    code, out, err = run(capsys, "verify", "1", "--order", "40",
+                         "--oracle-cap", "17")
+    assert code == 3
+    assert out == ""
+    assert "--oracle-cap must be at most 16" in err
+
+
 def test_verify_rejects_unknown_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "9"])

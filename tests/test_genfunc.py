@@ -14,7 +14,8 @@ from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               solve_H, solve_Jdepth, solve_K,
                               verify_F_closed_form, verify_theorem)
 from jumpstat.moments import q_log_derivative_power
-from jumpstat.trees import brute_force_jumpdist_enumerator, catalan
+from jumpstat.trees import (EnumerationCapError,
+                            brute_force_jumpdist_enumerator, catalan)
 
 T = Poly2.term(1, et=1)
 Q = Poly2.term(1, eq=1)
@@ -184,10 +185,7 @@ def test_jumps_radical_squares_back():
 
 @pytest.mark.parametrize("theorem", ["0", "1", "2", "3", "4", "5", "6"])
 def test_verify_theorem_passes(theorem):
-    # id 1 enumerates every tree up to its oracle cap; the acceptance suite
-    # already runs the default cap of 12, so a cap of 9 keeps this one quick
-    cap = {"1": 9}.get(theorem, genfunc.DEFAULT_ORACLE_CAP)
-    verdict = verify_theorem(theorem, 18, oracle_cap=cap)
+    verdict = verify_theorem(theorem, 18)
     assert verdict.passed
     assert verdict.first_failure is None
     assert verdict.to_json() == {
@@ -206,6 +204,20 @@ def test_verify_theorem_accepts_ints_and_rejects_junk():
         verify_theorem("7", 10)
     with pytest.raises(ValueError):
         verify_theorem("2", -1)
+
+
+def test_oracle_size_above_the_ceiling_is_refused_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(genfunc, "brute_force_enumerator", never)
+    monkeypatch.setattr(genfunc, "solve_F", never)
+    with pytest.raises(EnumerationCapError,
+                       match=r"ceiling of 16; --oracle-cap must be at most 16"):
+        verify_theorem("1", 40, oracle_cap=17)
+    monkeypatch.undo()
+    # the ceiling bounds the enumerated size, min(order, oracle_cap)
+    assert verify_theorem("1", 5, oracle_cap=17).passed
 
 
 def test_verify_oracle_cap_limits_comparison():

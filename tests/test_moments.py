@@ -23,6 +23,8 @@ def test_q_log_derivative_turns_counts_into_power_sums():
     second = q_log_derivative_power(H, 2)
     assert second.coefficient(3).substitute("q", 1).constant_value() == 7
     assert q_log_derivative_power(H, 0) == H
+    # the leaf's q^0 term vanishes for r > 0 and must not be stored as 0
+    assert first.coefficient(0) == 0 and not first.coefficient(0).items()
     K = solve_K(6)
     first_k = q_log_derivative_power(K, 1)
     assert first_k.coefficient(2).substitute("q", 1).constant_value() == 1

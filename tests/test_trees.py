@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from jumpstat.trees import (LEAF, EnumerationCapError, Node, TreeParseError,
@@ -145,25 +148,34 @@ def test_brute_force_enumerator_small_coefficients():
     assert str(at1) == "1 + 3*q + q^2"
 
 
-def test_brute_force_enumerator_matches_counts(stat_counts_small):
-    series = brute_force_enumerator(8)
-    for n in range(9):
-        expected = {}
-        for st, mult in stat_counts_small[n].items():
-            key = (st.depth, st.jumps)
-            expected[key] = expected.get(key, 0) + mult
-        got = dict(series.coefficient(n).items())
-        assert got == expected
+def _assert_matches_streamed_trees(series, key):
+    # sizes below the top come from the stored levels, the top one streams
+    for n in range(series.order + 1):
+        expected = Counter(key(st) for _, st in enumerate_trees_with_stats(n))
+        assert dict(series.coefficient(n).items()) == expected, n
 
 
-def test_brute_force_jumpdist_enumerator(stat_counts_small):
-    series = brute_force_jumpdist_enumerator(8)
-    for n in range(9):
-        expected = {}
-        for st, mult in stat_counts_small[n].items():
-            key = (0, st.jumpdist)
-            expected[key] = expected.get(key, 0) + mult
-        assert dict(series.coefficient(n).items()) == expected
+def test_brute_force_enumerator_matches_counts():
+    _assert_matches_streamed_trees(brute_force_enumerator(10, cap=10),
+                                   lambda st: (st.depth, st.jumps))
+
+
+def test_brute_force_jumpdist_enumerator():
+    _assert_matches_streamed_trees(brute_force_jumpdist_enumerator(10, cap=10),
+                                   lambda st: (0, st.jumpdist))
+
+
+def test_brute_force_levels_are_compact():
+    # 82,500 trees of size below 12 are stored; a list of TreeStats would
+    # take about 7 MB, four bytes a tree about 0.3 MB
+    brute_force_enumerator(2)
+    tracemalloc.start()
+    try:
+        brute_force_enumerator(12, cap=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_enumerator_degree_bounds():
