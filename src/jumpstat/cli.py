@@ -12,7 +12,8 @@ Subcommands:
 * ``limits``           — reference closed forms and their limits.
 
 Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
-2 usage or parse error, 3 a resource cap refused the request.
+2 usage or parse error, 3 a resource cap refused the request (an
+enumeration size, or a series order above ``genfunc.ORDER_CAPS``).
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
@@ -53,6 +54,11 @@ _SOLVERS = {
     "J": genfunc.solve_Jdepth,
     "K": genfunc.solve_K,
 }
+
+
+# the flag that sets the series order of each command that solves one
+_ORDER_FLAGS = {"series": "--order", "verify": "--order",
+                "moments": "--nmax", "guess": "--n-to"}
 
 
 class _UsageError(Exception):
@@ -272,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except EnumerationCapError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except genfunc.ResourceCapError as exc:
+        print(f"jumpstat: {exc}; {_ORDER_FLAGS[args.command]} must be at "
+              f"most {exc.cap}", file=sys.stderr)
         return EXIT_REFUSED
     except (guess.GuessError, genfunc.SelfCheckError) as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)

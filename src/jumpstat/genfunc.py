@@ -61,6 +61,28 @@ class SelfCheckError(RuntimeError):
     """A solver's own verification failed: the series is corrupt."""
 
 
+class ResourceCapError(RuntimeError):
+    """Refused to solve a series above its order cap, before any work."""
+
+    def __init__(self, name: str, order: int, cap: int):
+        super().__init__(f"series {name} at order {order} exceeds the cap "
+                         f"of order {cap}")
+        self.cap = cap
+
+
+# The largest order each solver accepts.  A solve at order N holds about
+# N^3/6 terms for F and N^2/2 for H, J and K (N for f, whose N-th
+# coefficient has about 2N bits).  Each cap is an order at which one
+# solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM
+# (see CHANGES.md); the cost grows about as N^5 for F and H.
+ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
+
+
+def _capped(name: str, order: int) -> None:
+    if order > ORDER_CAPS[name]:
+        raise ResourceCapError(name, order, ORDER_CAPS[name])
+
+
 @dataclass(frozen=True)
 class FirstFailure:
     """Lowest x-index where an identity's residual is nonzero."""
@@ -151,6 +173,7 @@ def jumpdist_radical(order: int) -> Series:
 @lru_cache(maxsize=8)
 def solve_catalan(order: int) -> Series:
     """f = 1 + x*f^2, the tree counter.  Coefficients are plain integers."""
+    _capped("f", order)
     return fixed_point_solve(
         lambda f: dot(f, f[::-1]) if f else Poly2.one(), order)
 
@@ -171,6 +194,7 @@ def solve_H(order: int) -> Series:
     Verified against its own closed form before being returned; failure
     means the solver stack is broken, so it raises instead of returning.
     """
+    _capped("H", order)
     # x^n of x*H*((1 - q) + q*H) reads H only up to x^(n-1)
     H = fixed_point_solve(
         lambda H: (H[-1] * _ONE_MINUS_Q + dot(H, H[::-1]) * _Q) if H
@@ -186,6 +210,7 @@ def solve_F(order: int) -> Series:
     inverse of 1 - x*t*G with G = 1 + q*(H - 1): the construction of J
     with G in place of f.
     """
+    _capped("F", order)
     G = 1 + (solve_H(order) - 1) * _Q
     return (1 - (G * _T).shift_x()).inverse().truncate(order)
 
@@ -231,6 +256,7 @@ def solve_Jdepth(order: int) -> Series:
 
     Verified against its closed form before being returned.
     """
+    _capped("J", order)
     f = solve_catalan(order)
     J = (1 - (f * _T).shift_x()).inverse().truncate(order)
     return _self_checked(J, _theorem5_residual(J, order), "depth")
@@ -252,17 +278,18 @@ def solve_K(order: int) -> Series:
     becomes sum(a_d * q^(n-d)).  Exponents out of range mean the depth
     series is corrupt.  Verified against its closed form before return.
     """
+    _capped("K", order)
     J = solve_Jdepth(order)
     coeffs = []
     for n, poly in enumerate(J.coefficients()):
-        acc = {}
+        row = [0] * (n + 1)
         for (et, eq), v in poly.items():
             if eq != 0 or et > n:
                 raise SelfCheckError(
                     f"depth series coefficient x^{n} has a bad term "
                     f"t^{et}*q^{eq}")
-            acc[(0, n - et)] = v
-        coeffs.append(Poly2(acc))
+            row[n - et] = v
+        coeffs.append(Poly2._from_q_coefficients(row))
     K = Series(coeffs)
     return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 
@@ -285,8 +312,9 @@ def verify_theorem(theorem: int | str, order: int,
 
     For id 1 the exhaustive enumeration is compared up to
     min(order, oracle_cap); everything else runs at the full order.  A
-    size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError before
-    any work happens.
+    size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError, and an
+    order above a solver's ``ORDER_CAPS`` entry raises ResourceCapError,
+    both before any work happens.
     """
     tid = str(theorem)
     if tid not in THEOREM_IDS:
@@ -311,9 +339,9 @@ def verify_theorem(theorem: int | str, order: int,
                 f"oracle size {upto} ({catalan(upto)} trees) exceeds the "
                 f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
                 f"at most {DEFAULT_ENUMERATION_CAP}")
+        F = solve_F(order)
         # the cap was asked for explicitly, so it doubles as the refusal cap
-        oracle = brute_force_enumerator(upto, cap=upto)
-        hit = _first_failure(solve_F(order) - oracle)
+        hit = _first_failure(F - brute_force_enumerator(upto, cap=upto))
     else:  # id 4
         J = solve_Jdepth(order)
         hit = _first_failure(J - 1 - (J.substitute("t", 1) * J).shift_x() * _T)

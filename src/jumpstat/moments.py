@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .algebra import Poly2, Series
 from .genfunc import SelfCheckError, solve_H, solve_K
@@ -54,17 +55,16 @@ def q_log_derivative_power(series: Series, r: int) -> Series:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    out = []
+    rows = []
     for n, c in enumerate(series.coefficients()):
-        terms = {}
-        for (et, eq), v in c.items():
-            if et:
-                raise ValueError(
-                    f"series still carries the t marker at x^{n}: {c}")
-            if eq or not r:  # k^r is 0 for a q^0 term when r > 0
-                terms[(0, eq)] = v * eq ** r
-        out.append(Poly2._trusted(terms))
-    return Series(out)
+        try:
+            rows.append(c.q_coefficients())
+        except ValueError:
+            raise ValueError(
+                f"series still carries the t marker at x^{n}: {c}") from None
+    powers = [k ** r for k in range(max(map(len, rows)))]  # 0^0 = 1
+    return Series([Poly2._from_q_coefficients(list(map(mul, row, powers)))
+                   for row in rows])
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
 
     # sums[r][n] = sum of value^r over the trees of size n
-    sums = [[sum(v for _, v in c.items())
+    sums = [[c.substitute("q", 1).constant_value()
              for c in q_log_derivative_power(series, r).coefficients()]
             for r in range(max_moment + 1)]
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpstat.algebra import Poly2, Series, dot, fixed_point_solve
+from jumpstat.trees import catalan
 
 
 def poly(terms):
@@ -313,3 +314,223 @@ def test_sqrt_squares_back(tail):
 def test_inverse_multiplies_back(tail, head):
     s = Series.constant(head, 4) + tail.shift_x()
     assert s * s.inverse() == Series.one(4)
+
+
+# --- the packed kernel against a naive dict convolution ----------------------
+
+# Each polynomial below is a plain dict {(e_t, e_q): coefficient}, and the
+# reference arithmetic loops over pairs of terms; it shares nothing with
+# the packed layout of Poly2.
+
+def naive_mul(a, b):
+    out = {}
+    for (at, aq), av in a.items():
+        for (bt, bq), bv in b.items():
+            key = (at + bt, aq + bq)
+            out[key] = out.get(key, 0) + av * bv
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_dot(xs, ys):
+    out = {}
+    for x, y in zip(xs, ys):
+        out = naive_add(out, naive_mul(x, y))
+    return out
+
+
+def naive_series_mul(a, b):
+    order = min(len(a), len(b)) - 1
+    return [naive_dot(a[: m + 1], b[m::-1]) for m in range(order + 1)]
+
+
+def naive_inverse(s):
+    head = s[0][(0, 0)]
+    u = [dict(s[0])]
+    for n in range(1, len(s)):
+        acc = naive_dot(s[1: n + 1], u[::-1])
+        u.append({k: -head * v for k, v in acc.items()})
+    return u
+
+
+def naive_sqrt(s):
+    """The root's coefficients, or the index of the first odd one."""
+    y = [{(0, 0): 1}]
+    for n in range(1, len(s)):
+        twice = naive_add(s[n], naive_dot(y[1:n], y[n - 1:0:-1]), -1)
+        if any(v % 2 for v in twice.values()):
+            return n
+        y.append({k: v // 2 for k, v in twice.items()})
+    return y
+
+
+def terms_of(series):
+    return [dict(c.items()) for c in series.coefficients()]
+
+
+def series_of(dicts):
+    return Series([Poly2(d) for d in dicts])
+
+
+huge = st.integers(-2**2000, 2**2000)
+kernel_coeffs = st.one_of(small, huge, small.map(lambda d: 2**600 + d))
+
+
+def marker_polys(markers):
+    """Dicts in the markers named (both, one or none)."""
+    et = st.integers(0, 4) if "t" in markers else st.just(0)
+    eq = st.integers(0, 4) if "q" in markers else st.just(0)
+    nonzero = kernel_coeffs.filter(bool)
+    return st.dictionaries(st.tuples(et, eq), nonzero, max_size=5)
+
+
+def kernel_series(markers, head=None):
+    tail = st.lists(marker_polys(markers), min_size=0, max_size=5)
+    if head is None:
+        return st.tuples(marker_polys(markers), tail).map(lambda p: [p[0]] + p[1])
+    return tail.map(lambda rest: [{(0, 0): head}] + rest)
+
+
+marker_sets = st.sampled_from(["tq", "t", "q", ""])
+
+
+@given(marker_sets.flatmap(lambda m: st.tuples(
+    st.lists(marker_polys(m), max_size=6), st.lists(marker_polys(m), max_size=6))))
+@settings(max_examples=60, deadline=None)
+def test_packed_dot_matches_the_naive_convolution(operands):
+    xs, ys = operands
+    assert dict(dot([Poly2(x) for x in xs], [Poly2(y) for y in ys]).items()) \
+        == naive_dot(xs, ys)
+
+
+@given(st.tuples(marker_sets, marker_sets).flatmap(
+    lambda ms: st.tuples(kernel_series(ms[0]), kernel_series(ms[1]))))
+@settings(max_examples=60, deadline=None)
+def test_packed_series_product_matches_the_naive_convolution(operands):
+    # the marker sets may differ, and so may the orders
+    a, b = operands
+    assert terms_of(series_of(a) * series_of(b)) == naive_series_mul(a, b)
+
+
+@given(marker_sets.flatmap(lambda m: st.sampled_from([1, -1]).flatmap(
+    lambda head: kernel_series(m, head))))
+@settings(max_examples=60, deadline=None)
+def test_packed_inverse_matches_the_naive_recurrence(s):
+    assert terms_of(series_of(s).inverse()) == naive_inverse(s)
+
+
+@given(marker_sets.flatmap(lambda m: kernel_series(m, 1)), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_packed_sqrt_matches_the_naive_recurrence(s, square):
+    if square:   # a perfect square, whose root must come back exactly
+        s = naive_series_mul(s, s)
+    expected = naive_sqrt(s)
+    if isinstance(expected, int):
+        with pytest.raises(ValueError, match=rf"x\^{expected}:"):
+            series_of(s).sqrt()
+    else:
+        assert terms_of(series_of(s).sqrt()) == expected
+
+
+def test_online_solves_repack_wider_as_coefficients_grow(monkeypatch):
+    # coefficients near 10^600 square at every step, so the layout chosen
+    # at x^1 is too narrow by x^3 and must be re-packed, not wrapped
+    from jumpstat import algebra
+
+    grown = []
+    real = algebra._grown
+
+    def spy(*args):
+        grown.append(real(*args))
+        return grown[-1]
+
+    monkeypatch.setattr(algebra, "_grown", spy)
+    big = 10**600
+    t, q = Poly2.term(1, et=1), Poly2.term(1, eq=1)
+    s = [{(0, 0): 1}, {(0, 0): big + 1, (1, 1): -big}, {(2, 0): big - 3},
+         {(0, 3): -big}]
+    assert terms_of(series_of(s).inverse()) == naive_inverse(s)
+    assert len(grown) >= 2
+    assert grown[-1][0] > grown[0][0]
+
+    grown.clear()
+    y = [{(0, 0): 1}, {(1, 0): big}, {(0, 2): -big**2 - 7}, {(1, 1): 3 * big**3}]
+    assert terms_of(series_of(naive_series_mul(y, y)).sqrt()) == y
+    assert len(grown) >= 2 and grown[-1][0] > grown[0][0]
+
+    grown.clear()
+    solved = fixed_point_solve(
+        lambda f: dot(f, f[::-1]) * (big * t + q) if f else Poly2.one(), 3)
+    f = [{(0, 0): 1}]
+    for n in range(1, 4):
+        f.append(naive_mul(naive_dot(f, f[::-1]), {(1, 0): big, (0, 1): 1}))
+    assert terms_of(solved) == f
+    assert len(grown) >= 2 and grown[-1][0] > grown[0][0]
+
+
+@pytest.mark.parametrize("c", [2, 3, -5, 2**7, 2**13 + 1, -(2**31)])
+def test_online_solves_stay_exact_at_every_width_step(c):
+    # coefficients grow by bits(c) per step, so every slot width the
+    # solves pass through is filled to its edge once; closed forms:
+    # 1/(1 - cx) = sum c^n x^n, sqrt(1 - 4cx) = 1 - 2 sum C(n-1) c^n x^n
+    # and f = 1 + cx*f^2 has f_n = C(n) c^n, with C the Catalan numbers
+    order = 40
+    inv = Series.from_x_coefficients([1, -c], order).inverse()
+    assert consts(inv) == [c**n for n in range(order + 1)]
+    root = Series.from_x_coefficients([1, -4 * c], order).sqrt()
+    assert consts(root) == [1] + [-2 * catalan(n - 1) * c**n
+                                  for n in range(1, order + 1)]
+    solved = fixed_point_solve(
+        lambda f: dot(f, f[::-1]) * c if f else Poly2.one(), order)
+    assert consts(solved) == [catalan(n) * c**n for n in range(order + 1)]
+
+
+def test_sqrt_names_the_odd_coefficient_of_a_huge_series():
+    big = 10**600
+    t = Poly2.term(1, et=1)
+    y = Series.from_x_coefficients([1, Poly2.term(big, eq=1)], 3)
+    with pytest.raises(ValueError, match=r"at x\^2: \(t\)/2"):
+        (y * y + Series.from_x_coefficients([0, 0, t], 3)).sqrt()
+
+
+@pytest.mark.parametrize("head", [
+    Poly2.constant(10**600), Poly2.constant(-2), Poly2({(0, 0): 1, (0, 1): 1}),
+    Poly2.term(1, et=1)])
+def test_inverse_refuses_a_head_that_is_not_a_unit(head):
+    s = Series.from_x_coefficients([head, Poly2.term(10**600, et=1)], 4)
+    with pytest.raises(ValueError, match="x\\^0 term of 1 or -1"):
+        s.inverse()
+
+
+def naive_substitute(a, marker, value):
+    pos = "tq".index(marker)
+    out = {}
+    for key, v in a.items():
+        if value == 0 and key[pos]:
+            continue
+        new = (0, key[1]) if pos == 0 else (key[0], 0)
+        out[new] = out.get(new, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+@given(marker_sets.flatmap(marker_polys), st.sampled_from("tq"),
+       st.sampled_from([0, 1]))
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_the_naive_sum(a, marker, value):
+    assert dict(Poly2(a).substitute(marker, value).items()) \
+        == naive_substitute(a, marker, value)
+    if not any(et for et, _ in a):
+        # a q-row packed with room for its coefficient sum is summed by
+        # folding the int instead of decoding it
+        row = [0] * (max((eq for _, eq in a), default=0) + 1)
+        for (_, eq), v in a.items():
+            row[eq] = v
+        packed = Poly2._from_q_coefficients(row)
+        assert packed.q_coefficients() == row[: len(packed.q_coefficients())]
+        assert packed.substitute("q", 1) == sum(a.values())

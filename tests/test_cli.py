@@ -369,3 +369,91 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     for span in ("guess.guess_rational", "guess.fit", "moments.moment_table",
                  "genfunc.solve_K"):
         assert trace["spans"][span]["calls"] >= 1, span
+
+
+# --- cost caps --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (("series", "F", "--order", "100000"), "--order", genfunc.ORDER_CAPS["F"]),
+    (("series", "f", "--order", "100000"), "--order", genfunc.ORDER_CAPS["f"]),
+    (("verify", "1", "--order", "100000"), "--order", genfunc.ORDER_CAPS["F"]),
+    (("verify", "2", "--order", "100000"), "--order", genfunc.ORDER_CAPS["F"]),
+    (("verify", "3", "--order", "100000"), "--order", genfunc.ORDER_CAPS["H"]),
+    (("verify", "6", "--order", "100000"), "--order", genfunc.ORDER_CAPS["K"]),
+    (("moments", "jumps", "--nmax", "100000"), "--nmax", genfunc.ORDER_CAPS["H"]),
+    (("moments", "jumpdist", "--nmax", "100000"), "--nmax",
+     genfunc.ORDER_CAPS["K"]),
+    (("guess", "jumpdist", "--moment", "mean", "--n-to", "100000"), "--n-to",
+     genfunc.ORDER_CAPS["K"]),
+])
+def test_a_huge_order_exits_3_at_once(argv, flag, cap):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-m", "jumpstat.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert f"cap of order {cap}; {flag} must be at most {cap}" in proc.stderr
+    # the refusal comes before any series work: well under a second of CPU
+    code = ("import sys, time\nfrom jumpstat.cli import main\n"
+            "start = time.process_time()\nassert main(sys.argv[1:]) == 3\n"
+            "print(time.process_time() - start)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1
+
+
+def _solvers_for(argv: list[str]) -> tuple[str, int]:
+    """The series a benchmark CLI job solves and its order."""
+    flags = dict(zip(argv[2::2], argv[3::2]))
+    if argv[0] == "verify":
+        return {"2": "FH", "6": "KJf"}[argv[1]], int(flags["--order"])
+    size = int(flags.get("--nmax", flags.get("--n-to", 0)))
+    return {"jumps": "H", "jumpdist": "KJf"}[argv[1]], size
+
+
+def test_the_default_caps_admit_every_benchmark_job_and_tier1_size():
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
+    needs = []
+    for key in expected:
+        argv = key.split()
+        if argv[0] == "session":
+            continue
+        needs.append(_solvers_for(argv))
+    # the paper session solves every series at order 32 (identity 1 at 11)
+    needs.append(("fFHJK", 32))
+    # the largest orders the tier-1 suite solves
+    needs += [("FH", 60), ("H", 100), ("KJf", 200)]
+    for names, order in needs:
+        for name in names:
+            assert order <= genfunc.ORDER_CAPS[name], (name, order)
+
+
+# --- byte identity with the benchmark's recorded outputs --------------------
+
+# the benchmark's smoke-test sizes, plus two full-size jobs that take under
+# a second each
+RECORDED_JOBS = [
+    "moments jumps --nmax 8 --max-moment 10 --check --format csv",
+    "verify 2 --order 8",
+    "moments jumpdist --nmax 12 --max-moment 10 --check",
+    "verify 6 --order 12",
+    "guess jumpdist --moment central:2 --n-to 16 --max-total-degree 10",
+    "verify 2 --order 40",
+    "verify 6 --order 200",
+]
+
+
+@pytest.mark.parametrize("job", RECORDED_JOBS)
+def test_cli_output_is_byte_identical_to_the_benchmark_record(job):
+    import hashlib
+
+    record = json.loads((REPO / "perfbench" / "expected.json").read_text())[job]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-m", "jumpstat.cli", *job.split()],
+                          env=env, cwd=REPO, capture_output=True, timeout=120)
+    assert proc.returncode == record["exit"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == record["stdout_sha256"]
+    assert hashlib.sha256(proc.stderr).hexdigest() == record["stderr_sha256"]

@@ -83,22 +83,36 @@ def test_solve_F_at_t_one_is_solve_H(order):
 
 def test_solve_H_coefficients_are_narayana_numbers():
     # [x^n q^k] H = C(n,k) * C(n,k+1) / n for n >= 1
-    H = solve_H(60)
+    H = solve_H(100)
     assert H.coefficient(0) == 1
-    for n in range(1, 61):
+    for n in range(1, 101):
         expected = Poly2({(0, k): comb(n, k) * comb(n, k + 1) // n
                           for k in range(n)})
         assert H.coefficient(n) == expected, n
 
 
+def _ballot(n: int, d: int) -> int:
+    # trees of size n >= 1 whose rightmost leaf has depth d, 1 <= d <= n
+    return d * comb(2 * n - d, n) // (2 * n - d)
+
+
 def test_solve_Jdepth_coefficients_are_ballot_numbers():
-    # [x^n t^d] J = d / (2n - d) * C(2n - d, n) for 1 <= d <= n
-    J = solve_Jdepth(60)
+    # [x^n t^d] J = d / (2n - d) * C(2n - d, n) for 1 <= d <= n; 200 is the
+    # order `moments jumpdist --nmax 200` solves
+    J = solve_Jdepth(200)
     assert J.coefficient(0) == 1
-    for n in range(1, 61):
-        expected = Poly2({(d, 0): d * comb(2 * n - d, n) // (2 * n - d)
-                          for d in range(1, n + 1)})
+    for n in range(1, 201):
+        expected = Poly2({(d, 0): _ballot(n, d) for d in range(1, n + 1)})
         assert J.coefficient(n) == expected, n
+
+
+def test_solve_K_coefficients_are_complemented_ballot_numbers():
+    # jumpdist = internal - depth, so [x^n q^(n - d)] K = [x^n t^d] J
+    K = solve_K(200)
+    assert K.coefficient(0) == 1
+    for n in range(1, 201):
+        expected = Poly2({(0, n - d): _ballot(n, d) for d in range(1, n + 1)})
+        assert K.coefficient(n) == expected, n
 
 
 def _trivariate_F_coefficient(n: int, d: int, k: int) -> Fraction:
@@ -112,10 +126,10 @@ def _trivariate_F_coefficient(n: int, d: int, k: int) -> Fraction:
     return 0
 
 
-def test_solve_F_matches_the_integer_oracle_to_order_40():
-    F = solve_F(40)
+def test_solve_F_matches_the_integer_oracle_to_order_60():
+    F = solve_F(60)
     nonzero = 0
-    for n in range(41):
+    for n in range(61):
         got = dict(F.coefficient(n).items())
         for d in range(n + 1):
             for k in range(n + 1):
@@ -123,7 +137,7 @@ def test_solve_F_matches_the_integer_oracle_to_order_40():
                     _trivariate_F_coefficient(n, d, k), (n, d, k)
                 nonzero += _trivariate_F_coefficient(n, d, k) != 0
         assert got == {}, n
-    assert nonzero == 10701
+    assert nonzero == 36051
 
 
 @pytest.mark.parametrize(
