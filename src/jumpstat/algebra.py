@@ -347,14 +347,7 @@ class Poly2:
 
     def __mul__(self, other: Poly2 | int) -> Poly2:
         if isinstance(other, int):
-            if not other or not self._v:
-                return Poly2.zero()
-            ba, ta, da, qa, _ = self._meta
-            mag = abs(other)
-            bits = ((mag << ba) - mag).bit_length()
-            w = max(self._w, _slot_width(bits))
-            return Poly2._make(_conv(self, w, self._s) * other, w, self._s,
-                               (bits, ta, da, qa, False))
+            other = Poly2.constant(other)
         if not isinstance(other, Poly2):
             return NotImplemented
         return dot((self,), (other,))

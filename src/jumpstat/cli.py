@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
 2 usage or parse error, 3 a resource cap refused the request (an
-enumeration size, or a series order above ``genfunc.ORDER_CAPS``).
+enumeration size, a series order above ``genfunc.ORDER_CAPS``, or a
+moment order above ``moments.MOMENT_CAP``).
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
@@ -56,9 +57,11 @@ _SOLVERS = {
 }
 
 
-# the flag that sets the series order of each command that solves one
-_ORDER_FLAGS = {"series": "--order", "verify": "--order",
-                "moments": "--nmax", "guess": "--n-to"}
+# the flag that sets each capped quantity (``ResourceCapError.limit``) of
+# each command: the series order, and the moment order
+_CAP_FLAGS = {"order": {"series": "--order", "verify": "--order",
+                        "moments": "--nmax", "guess": "--n-to"},
+              "moment": {"moments": "--max-moment", "guess": "R in --moment"}}
 
 
 class _UsageError(Exception):
@@ -182,6 +185,8 @@ def _cmd_series(args) -> int:
 def _cmd_verify(args) -> int:
     if args.order < 0:
         raise _UsageError("--order must be >= 0")
+    if args.oracle_cap < 0:
+        raise _UsageError("--oracle-cap must be >= 0")
     verdict = genfunc.verify_theorem(args.theorem, args.order,
                                      oracle_cap=args.oracle_cap)
     print(json.dumps(verdict.to_json()))
@@ -280,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except genfunc.ResourceCapError as exc:
-        print(f"jumpstat: {exc}; {_ORDER_FLAGS[args.command]} must be at "
-              f"most {exc.cap}", file=sys.stderr)
+        print(f"jumpstat: {exc}; {_CAP_FLAGS[exc.limit][args.command]} must "
+              f"be at most {exc.cap}", file=sys.stderr)
         return EXIT_REFUSED
     except (guess.GuessError, genfunc.SelfCheckError) as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)

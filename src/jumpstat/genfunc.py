@@ -62,12 +62,14 @@ class SelfCheckError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """Refused to solve a series above its order cap, before any work."""
+    """Refused a request above a resource cap, before any work.  ``limit``
+    names what is capped: "order" for a series order, "moment" for a
+    moment order."""
 
-    def __init__(self, name: str, order: int, cap: int):
-        super().__init__(f"series {name} at order {order} exceeds the cap "
+    def __init__(self, what: str, order: int, cap: int, limit: str):
+        super().__init__(f"{what} at order {order} exceeds the cap "
                          f"of order {cap}")
-        self.cap = cap
+        self.cap, self.limit = cap, limit
 
 
 # The largest order each solver accepts.  A solve at order N holds about
@@ -80,7 +82,8 @@ ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 def _capped(name: str, order: int) -> None:
     if order > ORDER_CAPS[name]:
-        raise ResourceCapError(name, order, ORDER_CAPS[name])
+        raise ResourceCapError(f"series {name}", order, ORDER_CAPS[name],
+                               "order")
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,8 @@ def verify_theorem(theorem: int | str, order: int,
     Ids 0, 1, 2 and 4 report a failed identity as a failing Verdict.  Ids
     3, 5 and 6 report the self-checks of ``solve_H``, ``solve_Jdepth`` and
     ``solve_K``, which raise SelfCheckError when their identity fails, so
-    for those ids a failure raises.  Unknown ids and bad arguments raise
-    ValueError.
+    for those ids a failure raises.  Unknown ids and bad arguments (a
+    negative order or oracle_cap) raise ValueError before any work.
 
     For id 1 the exhaustive enumeration is compared up to
     min(order, oracle_cap); everything else runs at the full order.  A
@@ -321,6 +324,8 @@ def verify_theorem(theorem: int | str, order: int,
         raise ValueError(f"unknown theorem id {theorem!r}, expected 0..6")
     if order < 0:
         raise ValueError("order must be >= 0")
+    if oracle_cap < 0:
+        raise ValueError("oracle_cap must be >= 0")
 
     if tid in _SELF_CHECKED:
         _SELF_CHECKED[tid](order)

@@ -5,20 +5,21 @@ with p(n_i) = a_i * q(n_i) for all i.  That linear system is homogeneous
 in the unknown coefficients, so fitting is a nullspace computation, done
 in exact arithmetic:
 
-* a fraction-free (Bareiss) elimination over the integers finds the rank
-  and an echelon form; nullspace vectors come from back-substitution over
-  Fractions.  No floating point anywhere.
-* before eliminating, the points are screened modulo the prime 2^61 - 1
-  by rational reconstruction (von zur Gathen & Gerhard, *Modern Computer
-  Algebra*, 5.7-5.9): one extended Euclidean pass of prod(n - n_i)
-  against the interpolant of the values gives the nullity mod p of the
-  fit matrix at every degree pair at once.  Nullity 0 mod p forces full
-  rank over the rationals (reduction can only lose rank), so most
-  hopeless degree pairs are rejected without big-integer work.  The
-  screen can only reject, never accept; every returned fit comes from the
-  exact elimination and is re-verified against every input point.  When
-  the pass does not apply (a value's denominator or the difference of two
-  sample points is divisible by p) nothing is screened.
+* ``fit_rational`` is the exact elimination at one degree pair: a
+  fraction-free (Bareiss) elimination over the integers finds the rank
+  and an echelon form, and nullspace vectors come from back-substitution
+  over Fractions.  No floating point anywhere.  Every returned fit is
+  re-verified against every input point.
+* ``guess_rational`` screens its degree pairs first, modulo the prime
+  2^61 - 1, by rational reconstruction (von zur Gathen & Gerhard,
+  *Modern Computer Algebra*, 5.7-5.9): one extended Euclidean pass of
+  prod(n - n_i) against the interpolant of the values gives the nullity
+  mod p of the fit matrix at every degree pair at once.  Nullity 0 mod p
+  forces full rank over the rationals (reduction can only lose rank), so
+  the screen rejects most hopeless pairs without big-integer work, and
+  only pairs that the elimination would reject too.  When the pass does
+  not apply (a value's denominator or the difference of two sample
+  points is divisible by p) nothing is screened.
 
 ``guess_rational`` wraps the fit in a degree search (increasing total
 degree, smaller denominator degree first) with a mandatory holdout: the
@@ -71,11 +72,11 @@ def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs[:last])
 
 
-def _poly_eval(coeffs: Sequence, n) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence[int], n: int) -> int:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
-    return Fraction(acc)
+    return acc
 
 
 def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
@@ -157,7 +158,7 @@ class RationalFunctionN:
         den = _poly_eval(self.denominator, n)
         if den == 0:
             raise ZeroDivisionError(f"pole at n={n}")
-        return _poly_eval(self.numerator, n) / den
+        return Fraction(_poly_eval(self.numerator, n), den)
 
     def limit_at_infinity(self) -> Limit:
         """Three-way limit as n -> infinity."""
@@ -399,9 +400,6 @@ def fit_rational(points: Iterable, deg_num: int,
         raise ValueError(
             f"need at least {u} points for degrees ({deg_num}, {deg_den}), "
             f"got {len(pts)}")
-    steps = _reconstruction_steps(pts)
-    if steps is not None and _nullity_mod_p(steps, deg_num, deg_den) == 0:
-        raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
     basis = _nullspace(_fit_rows(pts, deg_num, deg_den))
     if not basis:
         raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
@@ -465,7 +463,6 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
         for deg_den in range(total + 1):
             deg_num = total - deg_den
             attempted.append((deg_num, deg_den))
-            # the screen fit_rational would make, read from the one pass
             if steps is not None and _nullity_mod_p(steps, deg_num,
                                                     deg_den) == 0:
                 continue

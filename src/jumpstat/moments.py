@@ -37,12 +37,19 @@ from math import comb
 from operator import mul
 
 from .algebra import Poly2, Series
-from .genfunc import SelfCheckError, solve_H, solve_K
+from .genfunc import ResourceCapError, SelfCheckError, solve_H, solve_K
 from .guess import RationalFunctionN
 from .trees import catalan
 
 DEFAULT_MAX_MOMENT = 4
 DEFAULT_N_MAX = 60
+
+# The largest moment order a table accepts.  On a 2-vCPU x86 VM a table
+# to order 24 took 8.7 s of CPU for jumpdist at n_max 400 and 1.7 s for
+# jumps at n_max 200 with the series cached; with the solve (12.4 s for
+# K, 12.0 s for H) the worst admitted request takes about 21 s, inside
+# the band that sized ``genfunc.ORDER_CAPS``.
+MOMENT_CAP = 24
 
 STATS = ("jumps", "jumpdist")
 
@@ -170,7 +177,9 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
 
     The underlying series is solved at order n_max (and so runs through
     its own closed-form verification); the tree counts it implies are
-    additionally cross-checked against the direct binomial formula.
+    additionally cross-checked against the direct binomial formula.  A
+    max_moment above MOMENT_CAP raises ResourceCapError, and so does an
+    n_max above the series' ``ORDER_CAPS`` entry, before any work.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}, expected one of {STATS}")
@@ -178,6 +187,8 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
         raise ValueError("max_moment must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if max_moment > MOMENT_CAP:
+        raise ResourceCapError("moment", max_moment, MOMENT_CAP, "moment")
     series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
 
     # sums[r][n] = sum of value^r over the trees of size n

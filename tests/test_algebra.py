@@ -409,6 +409,18 @@ def test_packed_dot_matches_the_naive_convolution(operands):
         == naive_dot(xs, ys)
 
 
+scalars = st.one_of(st.sampled_from([0, 1, -1]), small, huge)
+
+
+@given(marker_sets.flatmap(marker_polys), scalars)
+@settings(max_examples=60, deadline=None)
+def test_packed_scalar_product_matches_the_naive_product(p, c):
+    # an int scalar, on either side, is the constant polynomial c
+    expected = naive_mul(p, {(0, 0): c} if c else {})
+    assert dict((Poly2(p) * c).items()) == expected
+    assert dict((c * Poly2(p)).items()) == expected
+
+
 @given(st.tuples(marker_sets, marker_sets).flatmap(
     lambda ms: st.tuples(kernel_series(ms[0]), kernel_series(ms[1]))))
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jumpstat import cli, genfunc
+from jumpstat import cli, genfunc, moments
 from jumpstat.cli import main
 from jumpstat.trees import catalan
 
@@ -137,6 +137,18 @@ def test_verify_oracle_cap_above_the_ceiling_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "--oracle-cap must be at most 16" in err
+
+
+def test_verify_refuses_a_negative_oracle_cap_before_any_work(capsys,
+                                                             monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(genfunc, "brute_force_enumerator", never)
+    monkeypatch.setattr(genfunc, "solve_F", never)
+    code, out, err = run(capsys, "verify", "1", "--order", "40",
+                         "--oracle-cap", "-1")
+    assert (code, out, err) == (2, "", "jumpstat: --oracle-cap must be >= 0\n")
 
 
 def test_verify_rejects_unknown_id(capsys):
@@ -385,6 +397,10 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
      genfunc.ORDER_CAPS["K"]),
     (("guess", "jumpdist", "--moment", "mean", "--n-to", "100000"), "--n-to",
      genfunc.ORDER_CAPS["K"]),
+    (("moments", "jumps", "--nmax", "5", "--max-moment", "100000"),
+     "--max-moment", moments.MOMENT_CAP),
+    (("guess", "jumps", "--moment", "central:100000", "--n-to", "30"),
+     "R in --moment", moments.MOMENT_CAP),
 ])
 def test_a_huge_order_exits_3_at_once(argv, flag, cap):
     env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
@@ -413,14 +429,27 @@ def _solvers_for(argv: list[str]) -> tuple[str, int]:
     return {"jumps": "H", "jumpdist": "KJf"}[argv[1]], size
 
 
+def _moment_order(argv: list[str]) -> int:
+    """The moment order a benchmark CLI job tabulates."""
+    args = cli._build_parser().parse_args(argv)
+    if argv[0] == "moments":
+        return args.max_moment
+    return cli._parse_moment_spec(args.moment)[1]
+
+
 def test_the_default_caps_admit_every_benchmark_job_and_tier1_size():
     expected = json.loads((REPO / "perfbench" / "expected.json").read_text())
     needs = []
+    # the paper session's tables and tier-1's largest tables are to order 10
+    moment_orders = [10]
     for key in expected:
         argv = key.split()
         if argv[0] == "session":
             continue
         needs.append(_solvers_for(argv))
+        if argv[0] in ("moments", "guess"):
+            moment_orders.append(_moment_order(argv))
+    assert max(moment_orders) <= moments.MOMENT_CAP, moment_orders
     # the paper session solves every series at order 32 (identity 1 at 11)
     needs.append(("fFHJK", 32))
     # the largest orders the tier-1 suite solves

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -27,12 +26,16 @@ def test_solve_catalan_counts_trees():
         assert f.coefficient(n) == catalan(n)
 
 
+def _check_catalan(order: int) -> None:
+    # C(2n, n)/(n + 1) is independent of the solver
+    f = solve_catalan(order)
+    for n in range(order + 1):
+        assert f.coefficient(n) == comb(2 * n, n) // (n + 1), n
+
+
 def test_solve_catalan_matches_the_closed_form_to_order_200():
-    # C(2n, n)/(n + 1) is independent of the solver; 200 is the order
-    # that `moments jumpdist --nmax 200` solves
-    f = solve_catalan(200)
-    for n in range(201):
-        assert f.coefficient(n) == comb(2 * n, n) // (n + 1)
+    # 200 is the order that `moments jumpdist --nmax 200` solves
+    _check_catalan(200)
 
 
 def test_catalan_radical_identity():
@@ -81,14 +84,18 @@ def test_solve_F_at_t_one_is_solve_H(order):
     assert solve_F(order).substitute("t", 1) == solve_H(order)
 
 
-def test_solve_H_coefficients_are_narayana_numbers():
+def _check_narayana_H(order: int) -> None:
     # [x^n q^k] H = C(n,k) * C(n,k+1) / n for n >= 1
-    H = solve_H(100)
+    H = solve_H(order)
     assert H.coefficient(0) == 1
-    for n in range(1, 101):
+    for n in range(1, order + 1):
         expected = Poly2({(0, k): comb(n, k) * comb(n, k + 1) // n
                           for k in range(n)})
         assert H.coefficient(n) == expected, n
+
+
+def test_solve_H_coefficients_are_narayana_numbers():
+    _check_narayana_H(100)
 
 
 def _ballot(n: int, d: int) -> int:
@@ -96,48 +103,72 @@ def _ballot(n: int, d: int) -> int:
     return d * comb(2 * n - d, n) // (2 * n - d)
 
 
-def test_solve_Jdepth_coefficients_are_ballot_numbers():
-    # [x^n t^d] J = d / (2n - d) * C(2n - d, n) for 1 <= d <= n; 200 is the
-    # order `moments jumpdist --nmax 200` solves
-    J = solve_Jdepth(200)
+def _check_ballot_J(order: int) -> None:
+    # [x^n t^d] J = d / (2n - d) * C(2n - d, n) for 1 <= d <= n
+    J = solve_Jdepth(order)
     assert J.coefficient(0) == 1
-    for n in range(1, 201):
+    for n in range(1, order + 1):
         expected = Poly2({(d, 0): _ballot(n, d) for d in range(1, n + 1)})
         assert J.coefficient(n) == expected, n
 
 
-def test_solve_K_coefficients_are_complemented_ballot_numbers():
+def test_solve_Jdepth_coefficients_are_ballot_numbers():
+    # 200 is the order `moments jumpdist --nmax 200` solves
+    _check_ballot_J(200)
+
+
+def _check_complemented_ballot_K(order: int) -> None:
     # jumpdist = internal - depth, so [x^n q^(n - d)] K = [x^n t^d] J
-    K = solve_K(200)
+    K = solve_K(order)
     assert K.coefficient(0) == 1
-    for n in range(1, 201):
+    for n in range(1, order + 1):
         expected = Poly2({(0, n - d): _ballot(n, d) for d in range(1, n + 1)})
         assert K.coefficient(n) == expected, n
 
 
-def _trivariate_F_coefficient(n: int, d: int, k: int) -> Fraction:
+def test_solve_K_coefficients_are_complemented_ballot_numbers():
+    _check_complemented_ballot_K(200)
+
+
+def _trivariate_F_coefficients(n: int) -> dict[tuple[int, int], int]:
     # Lagrange inversion of A = x(1 + A)(1 + qA), A = H - 1, and
-    # [t^d] F = (x(1 + qA))^d: for 1 <= d < n and k >= 1,
+    # [t^d] F = (x(1 + qA))^d: the nonzero terms of [x^n] F are
+    # [t^n] = 1 and, for 1 <= d < n and 1 <= k <= n - d,
     # [x^n t^d q^k] F = d / (n - d) * C(n - d, k) * C(n - 1, k - 1)
-    if n == 0 or d == n:
-        return int(d == n and k == 0)
-    if 1 <= d < n and k >= 1:
-        return Fraction(d, n - d) * comb(n - d, k) * comb(n - 1, k - 1)
-    return 0
+    terms = {(n, 0): 1}
+    for d in range(1, n):
+        for k in range(1, n - d + 1):
+            terms[(d, k)] = d * comb(n - d, k) * comb(n - 1, k - 1) // (n - d)
+    return terms
+
+
+def _check_F_lagrange(order: int) -> int:
+    """Compare every coefficient of F with the oracle, zeros included;
+    return the number of nonzero terms."""
+    F = solve_F(order)
+    nonzero = 0
+    for n in range(order + 1):
+        expected = _trivariate_F_coefficients(n)
+        assert dict(F.coefficient(n).items()) == expected, n
+        nonzero += len(expected)
+    return nonzero
 
 
 def test_solve_F_matches_the_integer_oracle_to_order_60():
-    F = solve_F(60)
-    nonzero = 0
-    for n in range(61):
-        got = dict(F.coefficient(n).items())
-        for d in range(n + 1):
-            for k in range(n + 1):
-                assert got.pop((d, k), 0) == \
-                    _trivariate_F_coefficient(n, d, k), (n, d, k)
-                nonzero += _trivariate_F_coefficient(n, d, k) != 0
-        assert got == {}, n
-    assert nonzero == 36051
+    assert _check_F_lagrange(60) == 36051
+
+
+_ORACLE_CHECKS = {"f": _check_catalan, "F": _check_F_lagrange,
+                  "H": _check_narayana_H, "J": _check_ballot_J,
+                  "K": _check_complemented_ballot_K}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(_ORACLE_CHECKS))
+def test_every_solver_matches_its_oracle_at_its_order_cap(name):
+    # the largest coefficients a solver can be asked for are where its
+    # width rule and re-packing are exercised hardest
+    _ORACLE_CHECKS[name](genfunc.ORDER_CAPS[name])
 
 
 @pytest.mark.parametrize(
@@ -232,6 +263,16 @@ def test_oracle_size_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     monkeypatch.undo()
     # the ceiling bounds the enumerated size, min(order, oracle_cap)
     assert verify_theorem("1", 5, oracle_cap=17).passed
+
+
+def test_a_negative_oracle_cap_is_refused_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(genfunc, "brute_force_enumerator", never)
+    monkeypatch.setattr(genfunc, "solve_F", never)
+    with pytest.raises(ValueError, match="oracle_cap must be >= 0"):
+        verify_theorem("1", 40, oracle_cap=-1)
 
 
 def test_verify_oracle_cap_limits_comparison():

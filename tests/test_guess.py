@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jumpstat import guess
 from jumpstat.guess import (AmbiguousFitError, GuessError, Limit, NoFitError,
                             RationalFunctionN, _clean_points, _fit_rows,
                             _nullity_mod_p, _nullspace, _reconstruction_steps,
@@ -108,6 +109,26 @@ def test_no_fit_for_non_rational_data():
     assert _nullspace([[1, n, -a] for n, a in primes]) == []
 
 
+def test_fit_rational_is_the_exact_elimination_alone(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("fit_rational ran the mod-p screen")
+
+    monkeypatch.setattr(guess, "_reconstruction_steps", never)
+    monkeypatch.setattr(guess, "_nullity_mod_p", never)
+    primes = [(1, 2), (2, 3), (3, 5), (4, 7), (5, 11), (6, 13)]
+    with pytest.raises(NoFitError):
+        fit_rational(primes, 1, 0)
+    assert fit_rational(MEAN_POINTS, 1, 0) == RationalFunctionN((-1, 1), (2,))
+
+
+def test_reduced_candidate_with_a_pole_at_a_fit_point_is_refused():
+    # the nullspace is (n - 1)/(n - 1)^2, which reduces to 1/(n - 1): the
+    # point (1, 0) satisfies the linear system but sits on the pole
+    points = [(1, 0)] + [(n, F(1, n - 1)) for n in range(2, 7)]
+    with pytest.raises(NoFitError, match=r"point n=1$"):
+        fit_rational(points, 1, 2)
+
+
 def test_candidate_reproduction_guard_catches_cancellation():
     # the unique nullspace solution is (n-1)/(n-1): at n=1 the equation
     # degenerates to 0 = 0, so any value passes the linear system there,
@@ -170,6 +191,24 @@ def test_holdout_rejects_fit_that_does_not_extend():
     with pytest.raises(GuessError) as exc:
         guess_rational(points, holdout=3, max_total_degree=4)
     assert (1, 0) in exc.value.attempted
+
+
+def test_one_screen_pass_per_guess(monkeypatch):
+    calls = []
+    screen = guess._reconstruction_steps
+
+    def counted(pts):
+        calls.append(len(pts))
+        return screen(pts)
+
+    monkeypatch.setattr(guess, "_reconstruction_steps", counted)
+    guess_rational(MEAN_POINTS, holdout=2)
+    assert calls == [6]
+    # (1, 0) passes the screen and fits, and the holdout rejects it
+    points = [(n, n + 1) for n in range(1, 7)] + [(7, 100), (8, 200), (9, 300)]
+    with pytest.raises(GuessError):
+        guess_rational(points, holdout=3, max_total_degree=4)
+    assert calls == [6, 6]
 
 
 def test_guess_input_validation():

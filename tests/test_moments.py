@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from jumpstat.genfunc import solve_H, solve_Jdepth, solve_K
-from jumpstat.moments import (REFERENCE_FORMULAS, MomentRow,
+from jumpstat import moments
+from jumpstat.genfunc import ResourceCapError, solve_H, solve_Jdepth, solve_K
+from jumpstat.moments import (MOMENT_CAP, REFERENCE_FORMULAS, MomentRow,
                               check_closed_forms, moment_table,
                               q_log_derivative_power)
 from jumpstat.trees import catalan
@@ -148,6 +149,23 @@ def test_moment_table_input_validation():
         moment_table("jumps", max_moment=0)
     with pytest.raises(ValueError):
         moment_table("jumps", n_max=-1)
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_a_moment_order_above_the_cap_is_refused_before_any_work(
+        monkeypatch, stat):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("solve_H", "solve_K", "q_log_derivative_power"):
+        monkeypatch.setattr(moments, name, never)
+    with pytest.raises(ResourceCapError,
+                       match=rf"cap of order {MOMENT_CAP}$") as exc:
+        moment_table(stat, max_moment=MOMENT_CAP + 1, n_max=5)
+    assert (exc.value.cap, exc.value.limit) == (MOMENT_CAP, "moment")
+    monkeypatch.undo()
+    assert moment_table(stat, max_moment=MOMENT_CAP, n_max=3).max_moment \
+        == MOMENT_CAP
 
 
 def test_jumps_closed_forms_all_pass():
