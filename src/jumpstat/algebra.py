@@ -250,16 +250,14 @@ class Poly2:
 
     @classmethod
     def _from_q_coefficients(cls, coeffs: list[int]) -> Poly2:
-        """sum(coeffs[k] * q^k), trusting that the coefficients are ints.
-        The slot has room for the sum of the coefficients; see
-        ``substitute``."""
+        """sum(coeffs[k] * q^k), trusting that the coefficients are ints."""
         terms = len(coeffs) - coeffs.count(0)
         if not terms:
             return cls()
         while not coeffs[-1]:
             coeffs = coeffs[:-1]
         bits = max(map(abs, coeffs)).bit_length()
-        w = _slot_width(((terms << bits) - terms).bit_length())
+        w = _slot_width(bits)
         return cls._make(_pack(coeffs, w), w, len(coeffs),
                          (bits, terms, 0, len(coeffs) - 1, True))
 
@@ -361,22 +359,6 @@ class Poly2:
         if value not in (0, 1):
             raise ValueError(f"substitution value must be 0 or 1, got {value!r}")
         pos = _MARKERS.index(marker)
-        bits, terms = self._meta[:2]
-        if (value and not self._meta[3 - pos]
-                and ((terms << bits) - terms).bit_length() < self._w):
-            # A one-marker polynomial at 1 is the sum of its coefficients,
-            # which a slot has room for here.  Since 2^w = 1 modulo
-            # 2^w - 1, adding the two halves of the int repeatedly folds
-            # it into one slot congruent to that sum.
-            v, w, m = self._v, self._w, (1 << self._w) - 1
-            size = v.bit_length() // w + 1
-            while size > 1:
-                size = (size + 1) >> 1
-                v = (v >> (size * w)) + (v & ((1 << (size * w)) - 1))
-            v %= m
-            v = v - m if v >> (w - 1) else v
-            return Poly2._make(v, _slot_width(v.bit_length()), 1,
-                               (v.bit_length(), 1, 0, 0, True) if v else _ZERO_META)
         acc: dict[tuple[int, int], int] = {}
         for key, v in self.items():
             if value == 0 and key[pos] != 0:

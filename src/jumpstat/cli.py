@@ -162,6 +162,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.cap < 0:
+        raise _UsageError("--cap must be >= 0")
     for tree, st in enumerate_trees_with_stats(args.n, cap=args.cap):
         if args.with_stats:
             print(json.dumps({"tree": format_tree(tree),

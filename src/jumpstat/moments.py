@@ -1,11 +1,12 @@
 """Exact moment tables for the jump statistics, and their closed forms.
 
-For a statistic with weight series sum(c_n(q) * x^n), applying the
-operator q*d/dq a total of r times multiplies each q^k term by k^r, so
-the sum of the coefficient values at x^n is s_r = sum(value^r) over all
-trees of size n.  With c = s_0 the tree count, the raw moment is
-m_r = s_r / c, and the moment about the mean is one exact quotient of
-integers,
+For a statistic with weight series sum(c_n(q) * x^n), the coefficient
+of q^k in c_n counts the trees of size n with value k, so the power sum
+s_r = sum(k^r * [q^k] c_n), the value at q = 1 of (q*d/dq)^r c_n, is
+sum(value^r) over all trees of size n.  Each c_n is decoded once into
+its list of q-coefficients and every s_r is read off that list.  With
+c = s_0 the tree count, the raw moment is m_r = s_r / c, and the moment
+about the mean is one exact quotient of integers,
 
     mu_r = sum(binomial(r, k) * c^k * s_k * (-s_1)^(r-k), k=0..r) / c^(r+1),
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .algebra import Poly2, Series
+from .algebra import Series
 from .genfunc import ResourceCapError, SelfCheckError, solve_H, solve_K
 from .guess import RationalFunctionN
 from .trees import catalan
@@ -45,17 +46,19 @@ DEFAULT_MAX_MOMENT = 4
 DEFAULT_N_MAX = 60
 
 # The largest moment order a table accepts.  On a 2-vCPU x86 VM a table
-# to order 24 took 8.7 s of CPU for jumpdist at n_max 400 and 1.7 s for
-# jumps at n_max 200 with the series cached; with the solve (12.4 s for
-# K, 12.0 s for H) the worst admitted request takes about 21 s, inside
-# the band that sized ``genfunc.ORDER_CAPS``.
+# to order 24 took 5.6-5.9 s of CPU for jumpdist at n_max 400 and
+# 1.0 s for jumps at n_max 200 with the series cached; with the solve
+# (11.5-13.0 s for K, 14.4-16.8 s for H) the worst admitted request takes
+# about 19 s, inside the band that sized ``genfunc.ORDER_CAPS``.
 MOMENT_CAP = 24
 
 STATS = ("jumps", "jumpdist")
 
 
-def q_log_derivative_power(series: Series, r: int) -> Series:
-    """Apply (q * d/dq) to every coefficient r times: each q^k term times k^r.
+def q_log_derivative_power(series: Series, r: int) -> list[list[int]]:
+    """The power sums of a t-free series for every order j = 0..r:
+    sums[j][n] = sum(k^j * [q^k x^n]), the value at q = 1 of (q*d/dq)^j
+    applied to the x^n coefficient.  Each coefficient is decoded once.
 
     The input must be free of the t marker (take it out first by
     substitution); anything else is an upstream mistake worth an error.
@@ -69,9 +72,13 @@ def q_log_derivative_power(series: Series, r: int) -> Series:
         except ValueError:
             raise ValueError(
                 f"series still carries the t marker at x^{n}: {c}") from None
-    powers = [k ** r for k in range(max(map(len, rows)))]  # 0^0 = 1
-    return Series([Poly2._from_q_coefficients(list(map(mul, row, powers)))
-                   for row in rows])
+    ks = range(max(map(len, rows)))
+    powers = [1] * len(ks)   # k^j, with 0^0 = 1
+    sums = []
+    for _ in range(r + 1):
+        sums.append([sum(map(mul, row, powers)) for row in rows])
+        powers = list(map(mul, powers, ks))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,7 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
 
     # sums[r][n] = sum of value^r over the trees of size n
-    sums = [[c.substitute("q", 1).constant_value()
-             for c in q_log_derivative_power(series, r).coefficients()]
-            for r in range(max_moment + 1)]
+    sums = q_log_derivative_power(series, max_moment)
 
     rows = []
     for n in range(n_max + 1):
@@ -304,15 +309,16 @@ class FormulaCheck:
 def check_closed_forms(table: MomentTable, n_from: int = 2) -> list[FormulaCheck]:
     """Compare every applicable reference formula against the table.
 
-    Applicable means: same statistic and moment order within the table.
-    Comparison runs over n_from..n_max and is exact; for 8.3 both the
-    squared value (everywhere) and the sign (from its threshold on) are
-    required to agree.
+    Applicable means: same statistic, moment order within the table, and
+    at least one size in n_from..n_max.  Comparison runs over that range
+    and is exact; for 8.3 both the squared value (everywhere) and the sign
+    (from its threshold on) are required to agree.
     """
     n_from = max(n_from, 2)
     checks = []
     for ref in REFERENCE_FORMULAS:
-        if ref.stat != table.stat or ref.r > table.max_moment:
+        if (ref.stat != table.stat or ref.r > table.max_moment
+                or n_from > table.n_max):
             continue
         passed = True
         mismatch = None

@@ -151,6 +151,16 @@ def test_verify_refuses_a_negative_oracle_cap_before_any_work(capsys,
     assert (code, out, err) == (2, "", "jumpstat: --oracle-cap must be >= 0\n")
 
 
+def test_enumerate_refuses_a_negative_cap_before_any_work(capsys,
+                                                         monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "enumerate_trees_with_stats", never)
+    code, out, err = run(capsys, "enumerate", "3", "--cap", "-1")
+    assert (code, out, err) == (2, "", "jumpstat: --cap must be >= 0\n")
+
+
 def test_verify_rejects_unknown_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "9"])
@@ -189,6 +199,15 @@ def test_moments_check_jumpdist_reports_sign_failure(capsys):
     assert "check 8.4: pass [n=2..12]" in checks
     assert ("check 8.3: FAIL [n=2..12] (first mismatch n=4: "
             "sign -1 where positive is required)") in checks
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_moments_check_with_no_size_to_check_prints_no_check(capsys, nmax):
+    # the closed forms start at n=2; an empty range is no check, not a pass
+    code, out, err = run(capsys, "moments", "jumps", "--check",
+                         "--nmax", nmax)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_max"] == int(nmax)
 
 
 def test_moments_json_default(capsys):
@@ -461,8 +480,7 @@ def test_the_default_caps_admit_every_benchmark_job_and_tier1_size():
 
 # --- byte identity with the benchmark's recorded outputs --------------------
 
-# the benchmark's smoke-test sizes, plus two full-size jobs that take under
-# a second each
+# the benchmark's smoke-test sizes, and every full-size CLI job it records
 RECORDED_JOBS = [
     "moments jumps --nmax 8 --max-moment 10 --check --format csv",
     "verify 2 --order 8",
@@ -471,6 +489,9 @@ RECORDED_JOBS = [
     "guess jumpdist --moment central:2 --n-to 16 --max-total-degree 10",
     "verify 2 --order 40",
     "verify 6 --order 200",
+    "moments jumps --nmax 40 --max-moment 10 --check --format csv",
+    "moments jumpdist --nmax 200 --max-moment 10 --check",
+    "guess jumpdist --moment central:10 --n-to 60 --max-total-degree 40",
 ]
 
 

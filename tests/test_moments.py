@@ -2,43 +2,60 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from jumpstat import moments
+from jumpstat.algebra import Poly2
 from jumpstat.genfunc import ResourceCapError, solve_H, solve_Jdepth, solve_K
 from jumpstat.moments import (MOMENT_CAP, REFERENCE_FORMULAS, MomentRow,
                               check_closed_forms, moment_table,
                               q_log_derivative_power)
-from jumpstat.trees import catalan
+from jumpstat.trees import catalan, enumerate_trees_with_stats
 
 F = Fraction
 
 
 def test_q_log_derivative_turns_counts_into_power_sums():
-    H = solve_H(6)
     # size 3: jump counts 0, 1, 1, 1, 2 over the five trees
-    first = q_log_derivative_power(H, 1)
-    assert first.coefficient(3).substitute("q", 1).constant_value() == 5
-    second = q_log_derivative_power(H, 2)
-    assert second.coefficient(3).substitute("q", 1).constant_value() == 7
-    assert q_log_derivative_power(H, 0) == H
-    # the leaf's q^0 term vanishes for r > 0 and must not be stored as 0
-    assert first.coefficient(0) == 0 and not first.coefficient(0).items()
-    K = solve_K(6)
-    first_k = q_log_derivative_power(K, 1)
-    assert first_k.coefficient(2).substitute("q", 1).constant_value() == 1
+    sums = q_log_derivative_power(solve_H(6), 2)
+    assert len(sums) == 3
+    assert [s[3] for s in sums] == [5, 5, 7]
+    assert sums[0] == [catalan(n) for n in range(7)]
+    # the leaf's only term is q^0, and 0^0 = 1
+    assert [s[0] for s in sums] == [1, 0, 0]
+    # size 3: jump distances 0, 1, 1, 2, 2
+    sums_k = q_log_derivative_power(solve_K(6), 1)
+    assert (sums_k[1][2], sums_k[1][3]) == (1, 6)
 
 
-@pytest.mark.parametrize("solve", [solve_H, solve_K])
-def test_q_log_derivative_powers_compose(solve):
-    # (q d/dq)^(a+b) = (q d/dq)^b (q d/dq)^a: k^(a+b) = k^a * k^b per term
-    S = solve(8)
-    for a in range(4):
-        for b in range(4):
-            assert q_log_derivative_power(S, a + b) == q_log_derivative_power(
-                q_log_derivative_power(S, a), b), (a, b)
+@pytest.mark.parametrize("solve,field", [(solve_H, "jumps"),
+                                         (solve_K, "jumpdist")])
+def test_q_log_derivative_matches_the_enumerated_power_sums(solve, field):
+    sums = q_log_derivative_power(solve(10), 6)
+    for n in range(11):
+        values = Counter(getattr(st, field)
+                         for _, st in enumerate_trees_with_stats(n))
+        for j in range(7):
+            assert sums[j][n] == sum(m * v ** j for v, m in values.items()), \
+                (n, j)
+
+
+def test_moment_table_decodes_each_coefficient_once(monkeypatch):
+    calls = 0
+    decode = Poly2.q_coefficients
+
+    def spy(self):
+        nonlocal calls
+        calls += 1
+        return decode(self)
+
+    solve_K(30)   # solved (and cached) before the spy: count the table only
+    monkeypatch.setattr(Poly2, "q_coefficients", spy)
+    moment_table("jumpdist", 10, 30)
+    assert calls == 31
 
 
 def test_q_log_derivative_rejects_t_marker_and_bad_r():
