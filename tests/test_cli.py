@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -497,8 +502,6 @@ RECORDED_JOBS = [
 
 @pytest.mark.parametrize("job", RECORDED_JOBS)
 def test_cli_output_is_byte_identical_to_the_benchmark_record(job):
-    import hashlib
-
     record = json.loads((REPO / "perfbench" / "expected.json").read_text())[job]
     env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
     env["PYTHONPATH"] = str(REPO / "src")
@@ -507,3 +510,31 @@ def test_cli_output_is_byte_identical_to_the_benchmark_record(job):
     assert proc.returncode == record["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == record["stdout_sha256"]
     assert hashlib.sha256(proc.stderr).hexdigest() == record["stderr_sha256"]
+
+
+def run_recorded(job: str) -> dict:
+    """Exit code and stdout/stderr sha256 of one ``cli.main`` run, with
+    the environment cleared but for the job's leading VAR=value words."""
+    words = shlex.split(job)
+    env = {"COLUMNS": "80"}   # argparse wraps --help to the terminal width
+    while "=" in words[0]:
+        var, value = words.pop(0).split("=", 1)
+        env[var] = value
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(words)
+        except SystemExit as exc:   # argparse: --help, usage errors
+            code = exc.code
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+
+
+CLI_RECORD = json.loads((REPO / "tests" / "cli_record.json").read_text())
+
+
+@pytest.mark.parametrize("job", CLI_RECORD)
+def test_cli_output_is_byte_identical_to_its_record(job):
+    assert run_recorded(job) == CLI_RECORD[job]
