@@ -25,33 +25,34 @@ products, is the packed result whenever its coefficients fit a slot and
 its q-exponents stay below S: one C bignum multiply per pair of
 polynomials, where a term loop would do one per pair of terms.
 
-The width rule.  Each ``Poly2`` carries bounds on the bit length of its
-coefficients, its term count and its two degrees.  A coefficient of
-sum(a_i * b_i) is at most count * (2^top - 1), with top the largest
-bits(a_i) + bits(b_i) and count the sum of min(terms(a_i), terms(b_i)),
-since a term of a product takes one term of each factor; its slot is
-that bit length plus a sign bit, rounded up to whole bytes.  Each
-product checks this bound first and packs its operands wider when their
-layout is too narrow, so nothing wraps.  ``Series.__mul__`` picks one
-layout for all of its products; ``inverse``, ``sqrt`` and
-``fixed_point_solve`` keep one for the whole solve, re-check it before
-each coefficient from the exact bounds of the coefficients solved so
-far, and re-pack with room to grow when it would overflow.
+The width rule.  Each ``Poly2`` carries upper bounds on the bit length
+of its coefficients, its term count and its two degrees, so choosing a
+layout never decodes.  The one packer, ``Poly2._packed``, stores the
+exact bounds of its digits; the zero polynomial's drop out of every max.
+A coefficient of sum(a_i * b_i) is at most count * (2^top - 1), with
+top the largest bits(a_i) + bits(b_i) and count the sum of
+min(terms(a_i), terms(b_i)), since a term of a product takes one term of
+each factor; its slot is that bit length plus a sign bit, rounded up to
+whole bytes.  Each product checks this bound first and packs its
+operands wider when their layout is too narrow, so nothing wraps.
+``Series.__mul__`` picks one layout for all of its products;
+``inverse``, ``sqrt`` and ``fixed_point_solve`` keep one for the whole
+solve, re-check it before each coefficient from the bounds of one decode
+of each coefficient solved so far, and re-pack with room to grow when it
+would overflow.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 _MARKERS = ("t", "q")
 
-# bounds (bits, terms, t-degree, q-degree, exact) of the zero polynomial;
-# of a sum with no nonzero product; and of a zero factor in a product
-# bound, which drops out of every max
-_ZERO_META = (0, 0, 0, 0, True)
-_NO_META = (0, 0, 0, 0, False)
-_ABSENT = (-(1 << 40), 0, -(1 << 40), -(1 << 40), True)
+# bounds (bits, terms, t-degree, q-degree) of the zero polynomial: they
+# drop out of every max, so a zero factor adds nothing to a product bound
+_ZERO = (-(1 << 40), 0, -(1 << 40), -(1 << 40))
 
 
 def _slot_width(bits: int) -> int:
@@ -99,33 +100,29 @@ def _spread(terms: Iterable[tuple[tuple[int, int], int]], tdeg: int,
 
 
 def _exact_meta(digits: list[int], s: int) -> tuple:
+    """The bounds of the digits, which end in a nonzero one, in t-stride s."""
     if not digits:
-        return _ZERO_META
+        return _ZERO
     qdeg = (len(digits) - 1 if len(digits) <= s
             else max(k % s for k, c in enumerate(digits) if c))
     return (max(map(abs, digits)).bit_length(), len(digits) - digits.count(0),
-            (len(digits) - 1) // s, qdeg, True)
-
-
-def _metas(polys: Iterable[Poly2]) -> list[tuple]:
-    return [p._meta if p._v else _ABSENT for p in polys]
+            (len(digits) - 1) // s, qdeg)
 
 
 def _dot_meta(a: list[tuple], b: list[tuple]) -> tuple:
     """Bounds of sum(a_i * b_i), by the width rule, from the bounds of
     the factors, paired up to the shorter list."""
     if not a or not b:
-        return _NO_META
-    ba, ta, da, qa, _ = zip(*a)
-    bb, tb, db, qb, _ = zip(*b)
+        return _ZERO
+    ba, ta, da, qa = zip(*a)
+    bb, tb, db, qb = zip(*b)
     count = sum(map(min, ta, tb))
     if not count:
-        return _NO_META
+        return _ZERO
     top = max(map(add, ba, bb))
     tdeg, qdeg = max(map(add, da, db)), max(map(add, qa, qb))
     return (((count << top) - count).bit_length(),
-            min(sum(map(mul, ta, tb)), (tdeg + 1) * (qdeg + 1)), tdeg, qdeg,
-            False)
+            min(sum(map(mul, ta, tb)), (tdeg + 1) * (qdeg + 1)), tdeg, qdeg)
 
 
 def _target(polys: Sequence[Poly2], bits: int, stride: int) -> tuple[int, int]:
@@ -161,9 +158,8 @@ def _relaid(p: Poly2, w: int, s: int) -> Poly2:
 
 
 def _tight(p: Poly2) -> Poly2:
-    """``p`` with exact bounds, decoding it once if they are not."""
-    if not p._meta[4]:
-        p._meta = _exact_meta(_digits(p._v, p._w), p._s)
+    """``p`` with the exact bounds of one decode in place of its own."""
+    p._meta = _exact_meta(_digits(p._v, p._w), p._s)
     return p
 
 
@@ -217,20 +213,33 @@ class Poly2:
                                     f"{type(value).__name__}")
                 if value:
                     clean[(et, eq)] = value
-        self._v, self._w, self._s, self._meta = 0, 8, 1, _ZERO_META
-        if clean:
-            bits = max(map(abs, clean.values())).bit_length()
-            tdeg = max(et for et, _ in clean)
-            s = max(eq for _, eq in clean) + 1
-            self._w, self._s = _slot_width(bits), s
-            self._v = _pack(_spread(clean.items(), tdeg, s), self._w)
-            self._meta = (bits, len(clean), tdeg, s - 1, True)
+        s = max((eq for _, eq in clean), default=0) + 1
+        tdeg = max((et for et, _ in clean), default=0)
+        p = Poly2._packed(_spread(clean.items(), tdeg, s), s)
+        self._v, self._w, self._s, self._meta = p._v, p._w, p._s, p._meta
 
     @classmethod
     def _make(cls, v: int, w: int, s: int, meta: tuple) -> Poly2:
+        """``v`` in layout (w, s) with the upper bounds ``meta``; every zero
+        polynomial gets one layout and the bounds ``_ZERO``."""
         out = cls.__new__(cls)
+        if not v:
+            w, s, meta = 8, 1, _ZERO
         out._v, out._w, out._s, out._meta = v, w, s, meta
         return out
+
+    @classmethod
+    def _packed(cls, digits: list[int], s: int) -> Poly2:
+        """The polynomial with int coefficient digits[k] at t^(k // s) *
+        q^(k % s), in the narrowest slots, with its exact bounds; s must
+        exceed the q-degree."""
+        end = len(digits)
+        while end and not digits[end - 1]:
+            end -= 1
+        digits = digits[:end]
+        meta = _exact_meta(digits, s)
+        w = _slot_width(max(meta[0], 0))
+        return cls._make(_pack(digits, w), w, s, meta)
 
     @classmethod
     def zero(cls) -> Poly2:
@@ -247,19 +256,6 @@ class Poly2:
     @classmethod
     def term(cls, coeff: int, et: int = 0, eq: int = 0) -> Poly2:
         return cls({(et, eq): coeff})
-
-    @classmethod
-    def _from_q_coefficients(cls, coeffs: list[int]) -> Poly2:
-        """sum(coeffs[k] * q^k), trusting that the coefficients are ints."""
-        terms = len(coeffs) - coeffs.count(0)
-        if not terms:
-            return cls()
-        while not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        bits = max(map(abs, coeffs)).bit_length()
-        w = _slot_width(bits)
-        return cls._make(_pack(coeffs, w), w, len(coeffs),
-                         (bits, terms, 0, len(coeffs) - 1, True))
 
     def q_coefficients(self) -> list[int]:
         """[coefficient of q^k for k = 0 .. q-degree] of a t-free
@@ -322,14 +318,14 @@ class Poly2:
             return self
         if not self._v:
             return other
-        ba, ta, da, qa, _ = self._meta
-        bb, tb, db, qb, _ = other._meta
+        ba, ta, da, qa = self._meta
+        bb, tb, db, qb = other._meta
         tdeg, qdeg = max(da, db), max(qa, qb)
         bits = max(ba, bb) + 1
         w, s = _target((self, other), bits, qdeg + 1)
         return Poly2._make(_conv(self, w, s) + _conv(other, w, s), w, s,
                            (bits, min(ta + tb, (tdeg + 1) * (qdeg + 1)),
-                            tdeg, qdeg, False))
+                            tdeg, qdeg))
 
     __radd__ = __add__
 
@@ -353,19 +349,23 @@ class Poly2:
     __rmul__ = __mul__
 
     def substitute(self, marker: str, value: int) -> Poly2:
-        """Set one marker to 0 or 1, collapsing its exponents away."""
+        """Set one marker to 0 or 1, collapsing its exponents away: on the
+        decoded digits cut into q-rows, one for each power of t, t -> 0
+        keeps row 0 and t -> 1 sums the rows; q -> 0 takes the head of each
+        row and q -> 1 its sum."""
         if marker not in _MARKERS:
             raise ValueError(f"unknown marker {marker!r}, expected 't' or 'q'")
         if value not in (0, 1):
             raise ValueError(f"substitution value must be 0 or 1, got {value!r}")
-        pos = _MARKERS.index(marker)
-        acc: dict[tuple[int, int], int] = {}
-        for key, v in self.items():
-            if value == 0 and key[pos] != 0:
-                continue
-            new = (0, key[1]) if pos == 0 else (key[0], 0)
-            acc[new] = acc.get(new, 0) + v
-        return Poly2({key: v for key, v in acc.items() if v})
+        s = self._s
+        digits = _digits(self._v, self._w)
+        rows = [digits[k: k + s] for k in range(0, len(digits), s)]
+        if marker == "q":
+            return Poly2._packed([row[0] if value == 0 else sum(row)
+                                  for row in rows], 1)
+        if value == 0:
+            return Poly2._packed(rows[0] if rows else [], s)
+        return Poly2._packed(list(map(sum, zip_longest(*rows, fillvalue=0))), s)
 
     def to_json_terms(self) -> list[dict[str, int]]:
         """Deterministic term list: [{'et':, 'eq':, 'num':, 'den': 1}, ...].
@@ -459,11 +459,6 @@ class Series:
                 return n, c
         return None
 
-    def prefix_equal(self, other: Series) -> bool:
-        """Equality up to the smaller of the two orders."""
-        upto = min(self.order, other.order)
-        return self._coeffs[: upto + 1] == other._coeffs[: upto + 1]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Series):
             return self._coeffs == other._coeffs
@@ -508,11 +503,12 @@ class Series:
             return NotImplemented
         order = min(self.order, other.order)
         a, b = self._coeffs[: order + 1], other._coeffs[: order + 1]
-        ma, mb = _metas(a), _metas(b)
+        ma, mb = [c._meta for c in a], [c._meta for c in b]
         metas = [_dot_meta(ma, mb[m::-1]) for m in range(order + 1)]
         # every operand is packed, so each must fit the layout too
         fit = metas + ma + mb
-        w, s = _target(a + b, max(m[0] for m in fit), max(m[3] for m in fit) + 1)
+        w, s = _target(a + b, max(0, *(m[0] for m in fit)),
+                       max(0, *(m[3] for m in fit)) + 1)
         av = [_split(_conv(c, w, s)) for c in a]
         bv = [_split(_conv(c, w, s)) for c in b]
         return Series([Poly2._make(_split_dot(av, bv[m::-1]), w, s, metas[m])
@@ -547,7 +543,7 @@ class Series:
         w = s = 0
         for n in range(1, order + 1):
             sn = _tight(self._coeffs[n])
-            bits, terms, _, qdeg, _ = _dot_meta(bounds, bounds[::-1])
+            bits, terms, _, qdeg = _dot_meta(bounds, bounds[::-1])
             if sn._v:
                 bits = max(bits, sn._meta[0]) + 1 if terms else sn._meta[0]
                 qdeg = max(qdeg, sn._meta[3])
@@ -564,7 +560,7 @@ class Series:
             y.append(Poly2._make(twice >> 1, w, s,
                                  (max(meta[0] - 1, 0),) + meta[1:]))
             vals.append(_split(twice >> 1))
-            bounds += _metas(y[-1:])
+            bounds.append(y[-1]._meta)
         return Series(y)
 
     def inverse(self) -> Series:
@@ -579,7 +575,8 @@ class Series:
         u: list[Poly2] = [_tight(head)]    # all in the layout (w, s)
         sv: list[tuple[int, int]] = []     # s_1 .., split, in the layout
         uv: list[tuple[int, int]] = []     # u, split
-        s_bounds, u_bounds = _metas(_tight(c) for c in s_all[1:]), _metas(u)
+        s_bounds = [_tight(c)._meta for c in s_all[1:]]
+        u_bounds = [u[0]._meta]
         w = s = 0
         for n in range(1, order + 1):
             meta = _dot_meta(s_bounds, u_bounds[::-1])
@@ -593,7 +590,7 @@ class Series:
             v = _split_dot(sv, uv[::-1])
             u.append(_tight(Poly2._make(-v if negate else v, w, s, meta)))
             uv.append(_split(u[-1]._v))
-            u_bounds += _metas(u[-1:])
+            u_bounds.append(u[-1]._meta)
         return Series(u)
 
     def to_json(self) -> list[dict]:
@@ -666,5 +663,5 @@ def fixed_point_solve(step: Callable[[list[Poly2]], Poly2],
             else:
                 known[-1] = _relaid(known[-1], w, s)
         known.append(_tight(step(known)))
-        bounds += _metas(known[-1:])
+        bounds.append(known[-1]._meta)
     return Series(known)

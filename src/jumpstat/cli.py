@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
 2 usage or parse error, 3 a resource cap refused the request (an
 enumeration size, a series order above ``genfunc.ORDER_CAPS``, or a
-moment order above ``moments.MOMENT_CAP``).
+moment order above ``moments.MOMENT_CAP``), 141 the reader closed stdout
+(the status a shell reports for a writer killed by SIGPIPE).
 
 Every value-taking flag can be defaulted from the environment as
 JUMPSTAT_<FLAG> (dashes to underscores, upper case), e.g. JUMPSTAT_ORDER=24.
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_CLOSED_PIPE = 141
 
 SERIES_ALIASES = {
     "f": "f", "catalan": "f",
@@ -237,11 +239,13 @@ def _parse_moment_spec(spec: str) -> tuple[str, int]:
 
 def _cmd_guess(args) -> int:
     kind, r = _parse_moment_spec(args.moment)
+    if args.n_from < 0:
+        raise _UsageError("--n-from must be >= 0")
     if args.n_to <= args.n_from:
         raise _UsageError("--n-to must exceed --n-from")
     table = moments.moment_table(args.stat, max_moment=r, n_max=args.n_to)
     points = []
-    for n in range(max(args.n_from, 0), args.n_to + 1):
+    for n in range(args.n_from, args.n_to + 1):
         value = table.row(n).value(kind, r)
         if value is not None:
             points.append((n, value))
@@ -279,7 +283,14 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in list(vars(args).items()):
             if isinstance(value, _EnvDefault):
                 setattr(args, dest, value.resolve())
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout stays broken: point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except _UsageError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -292,7 +292,7 @@ def solve_K(order: int) -> Series:
                     f"depth series coefficient x^{n} has a bad term "
                     f"t^{et}*q^{eq}")
             row[n - et] = v
-        coeffs.append(Poly2._from_q_coefficients(row))
+        coeffs.append(Poly2._packed(row, n + 1))
     K = Series(coeffs)
     return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 

@@ -306,15 +306,15 @@ class FormulaCheck:
                 "detail": self.detail}
 
 
-def check_closed_forms(table: MomentTable, n_from: int = 2) -> list[FormulaCheck]:
+def check_closed_forms(table: MomentTable) -> list[FormulaCheck]:
     """Compare every applicable reference formula against the table.
 
     Applicable means: same statistic, moment order within the table, and
-    at least one size in n_from..n_max.  Comparison runs over that range
-    and is exact; for 8.3 both the squared value (everywhere) and the sign
+    at least one size in 2..n_max.  Comparison runs over that range and
+    is exact; for 8.3 both the squared value (everywhere) and the sign
     (from its threshold on) are required to agree.
     """
-    n_from = max(n_from, 2)
+    n_from = 2
     checks = []
     for ref in REFERENCE_FORMULAS:
         if (ref.stat != table.stat or ref.r > table.max_moment

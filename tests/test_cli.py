@@ -277,6 +277,16 @@ def test_guess_bad_range(capsys):
     assert "--n-to" in err
 
 
+def test_guess_refuses_a_negative_n_from_before_any_work(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(moments, "moment_table", never)
+    code, out, err = run(capsys, "guess", "jumps", "--moment", "mean",
+                         "--n-from", "-5", "--n-to", "20")
+    assert (code, out, err) == (2, "", "jumpstat: --n-from must be >= 0\n")
+
+
 def test_guess_unfittable_data_fails_cleanly(capsys):
     # jumps kurtosis needs total degree 6; a lower bound exhausts cleanly
     code, _, err = run(capsys, "guess", "jumps", "--moment", "scaled:4",
@@ -405,6 +415,23 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     for span in ("guess.guess_rational", "guess.fit", "moments.moment_table",
                  "genfunc.solve_K"):
         assert trace["spans"][span]["calls"] >= 1, span
+
+
+@pytest.mark.parametrize("argv, read", [
+    (("enumerate", "10"), lambda out: out.readline()),
+    # one 100 kB line, more than a pipe holds
+    (("series", "K", "--order", "60"), lambda out: out.read(5)),
+])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, read):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "jumpstat.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, bufsize=0)
+    assert read(proc.stdout)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # --- cost caps --------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_check_reports_value_mismatch_on_corrupted_table():
 
 def test_check_clamps_start_to_two():
     table = moment_table("jumps", max_moment=2, n_max=5)
-    for check in check_closed_forms(table, n_from=0):
+    for check in check_closed_forms(table):
         assert check.checked_from == 2
         assert check.passed
 
