@@ -3,23 +3,28 @@
 Given exact values a_i at distinct integers n_i, find polynomials p, q
 with p(n_i) = a_i * q(n_i) for all i.  That linear system is homogeneous
 in the unknown coefficients, so fitting is a nullspace computation, done
-in exact arithmetic:
+in exact arithmetic.  No floating point anywhere.
 
-* ``fit_rational`` is the exact elimination at one degree pair: a
-  fraction-free (Bareiss) elimination over the integers finds the rank
-  and an echelon form, and nullspace vectors come from back-substitution
-  over Fractions.  No floating point anywhere.  Every returned fit is
-  re-verified against every input point.
+* ``fit_rational`` fits one degree pair by Cauchy interpolation (von zur
+  Gathen & Gerhard, *Modern Computer Algebra*, 5.7-5.10): the extended
+  Euclidean algorithm of prod(n - n_i) against the interpolant of the
+  values, modulo a few 61-bit primes, gives the fit mod each prime; the
+  Chinese remainder theorem and rational reconstruction lift it to the
+  rationals.  Nothing is returned on trust.  A prime where no fit exists
+  proves that none exists over the rationals (reduction can only lose
+  rank), and a lifted candidate that reproduces every point exactly
+  proves itself and fixes the dimension of the solution space.  When
+  neither certificate comes (a pole or a cancellation at a sample point,
+  an unlucky prime, coefficients too wide for the primes), a
+  fraction-free (Bareiss) elimination over the integers decides.
 * ``guess_rational`` screens its degree pairs first, modulo the prime
-  2^61 - 1, by rational reconstruction (von zur Gathen & Gerhard,
-  *Modern Computer Algebra*, 5.7-5.9): one extended Euclidean pass of
-  prod(n - n_i) against the interpolant of the values gives the nullity
-  mod p of the fit matrix at every degree pair at once.  Nullity 0 mod p
-  forces full rank over the rationals (reduction can only lose rank), so
-  the screen rejects most hopeless pairs without big-integer work, and
-  only pairs that the elimination would reject too.  When the pass does
-  not apply (a value's denominator or the difference of two sample
-  points is divisible by p) nothing is screened.
+  2^61 - 1, by the same Euclidean pass: its degrees give the nullity mod
+  p of the fit matrix at every degree pair at once.  Nullity 0 mod p
+  forces full rank over the rationals, so the screen rejects most
+  hopeless pairs without big-integer work, and only pairs that the exact
+  fit would reject too.  When the pass does not apply (a value's
+  denominator or the difference of two sample points is divisible by p)
+  nothing is screened.
 
 ``guess_rational`` wraps the fit in a degree search (increasing total
 degree, smaller denominator degree first) with a mandatory holdout: the
@@ -32,13 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 DEFAULT_HOLDOUT = 5
 DEFAULT_MAX_TOTAL_DEGREE = 24
 
 _SCREEN_PRIME = (1 << 61) - 1
+# the eight largest primes below 2^61, the screen's prime first
+_LIFT_PRIMES = (_SCREEN_PRIME, *((1 << 61) - d
+                                 for d in (31, 45, 229, 259, 283, 339, 391)))
 
 
 class FitError(Exception):
@@ -103,6 +111,16 @@ def _poly_gcd(a: tuple, b: tuple) -> tuple:
     return a
 
 
+def _cleared(num: Sequence[Fraction], den: Sequence[Fraction]
+             ) -> tuple[list[int], list[int]]:
+    """num and den times the least common denominator of their
+    coefficients."""
+    scale = 1
+    for c in (*num, *den):
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    return [int(c * scale) for c in num], [int(c * scale) for c in den]
+
+
 @dataclass(frozen=True)
 class Limit:
     """Behavior of a rational function of n as n grows without bound."""
@@ -132,16 +150,12 @@ class RationalFunctionN:
         den = _strip([Fraction(c) for c in denominator])
         if not den:
             raise ZeroDivisionError("denominator polynomial is zero")
-        if num:
+        inum, iden = _cleared(num, den)
+        if inum and not _coprime_mod_p(inum, iden):
             g = _poly_gcd(num, den)
             if len(g) > 1:
-                num = _poly_divmod(num, g)[0]
-                den = _poly_divmod(den, g)[0]
-        scale = 1
-        for c in (*num, *den):
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        inum = [int(c * scale) for c in num]
-        iden = [int(c * scale) for c in den]
+                inum, iden = _cleared(_poly_divmod(num, g)[0],
+                                      _poly_divmod(den, g)[0])
         content = 0
         for c in (*inum, *iden):
             content = gcd(content, c)
@@ -290,34 +304,50 @@ def _fit_rows(pts: Sequence[tuple[int, Fraction]], deg_num: int,
     return rows
 
 
-def _rem_mod_p(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b mod p; both ascending and without a zero
-    leading coefficient, and so is the result (empty for zero)."""
-    p = _SCREEN_PRIME
+def _divmod_mod_p(a: list[int], b: list[int], p: int
+                  ) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod p; both ascending and without
+    a zero leading coefficient, and so are the results (empty for zero)."""
     a = a[:]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
+    quot = [0] * max(0, len(a) - db)
     while len(a) > db:
         f = a.pop() * inv % p
+        shift = len(a) - db
+        quot[shift] = f
         if f:
-            shift = len(a) - db
             for i in range(db):
                 a[shift + i] = (a[shift + i] - f * b[i]) % p
     while a and not a[-1]:
         a.pop()
-    return a
+    return quot, a
 
 
-def _reconstruction_steps(pts: Sequence[tuple[int, Fraction]]
-                          ) -> list[tuple[int, int]] | None:
-    """(deg r_j, deg t_j) for j >= 1 over the extended Euclidean algorithm
-    of M = prod(n - n_i) against the interpolant A of the values, mod p,
-    where r_j = s_j M + t_j A; the final zero remainder has degree -1.
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """True when two nonzero integer polynomials are certified coprime
+    over the rationals by one prime p: p divides neither leading
+    coefficient and gcd(a, b) mod p is a constant.  By Gauss's lemma a
+    common factor over the rationals is an integer polynomial whose
+    leading coefficient divides both, so it would keep its degree mod p.
+    False means no certificate, not a common factor."""
+    p = _SCREEN_PRIME
+    if not a[-1] % p or not b[-1] % p:
+        return False
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while b:
+        a, b = b, _divmod_mod_p(a, b, p)[1]
+    return len(a) == 1
+
+
+def _interpolation_mod_p(pts: Sequence[tuple[int, Fraction]], p: int
+                         ) -> tuple[list[int], list[int]] | None:
+    """M = prod(n - n_i) and the interpolant A of the values, mod p.
 
     None when a value's denominator is 0 mod p or two sample points are
     congruent mod p: the values then define no interpolant mod p.
     """
-    p = _SCREEN_PRIME
     xs = [n % p for n, _ in pts]
     if len(set(xs)) < len(xs) or any(a.denominator % p == 0 for _, a in pts):
         return None
@@ -343,14 +373,39 @@ def _reconstruction_steps(pts: Sequence[tuple[int, Fraction]]
         interp = [(c + scale * q) % p for c, q in zip(interp, quot)]
     while interp and not interp[-1]:
         interp.pop()
+    return big_m, interp
+
+
+def _reconstruction_steps(pts: Sequence[tuple[int, Fraction]]
+                          ) -> list[tuple[int, int]] | None:
+    """(deg r_j, deg t_j) for j >= 1 over the extended Euclidean algorithm
+    of M = prod(n - n_i) against the interpolant A of the values, mod
+    2^61 - 1, where r_j = s_j M + t_j A; the final zero remainder has
+    degree -1.  None where ``_interpolation_mod_p`` gives None.
+    """
+    p = _SCREEN_PRIME
+    interpolation = _interpolation_mod_p(pts, p)
+    if interpolation is None:
+        return None
+    m = len(pts)
     # deg t_j = deg M - deg r_(j-1) (von zur Gathen & Gerhard, Lemma 3.10)
     steps = []
-    r0, r1 = big_m, interp
+    r0, r1 = interpolation
     while r1:
         steps.append((len(r1) - 1, m - (len(r0) - 1)))
-        r0, r1 = r1, _rem_mod_p(r0, r1)
+        r0, r1 = r1, _divmod_mod_p(r0, r1, p)[1]
     steps.append((-1, m - (len(r0) - 1)))
     return steps
+
+
+def _nullity(deg_r: int, deg_t: int, deg_num: int, deg_den: int) -> int:
+    """Dimension of the pairs c * (r, t), for polynomials c, with degrees
+    at most (deg_num, deg_den); a zero r (degree -1) puts no bound on
+    deg c."""
+    room = deg_den - deg_t
+    if deg_r >= 0:
+        room = min(room, deg_num - deg_r)
+    return max(0, room + 1)
 
 
 def _nullity_mod_p(steps: list[tuple[int, int]], deg_num: int,
@@ -361,14 +416,117 @@ def _nullity_mod_p(steps: list[tuple[int, int]], deg_num: int,
 
     The fits mod p are the pairs with num = A * den mod M.  Take the first
     step with deg r_j <= deg_num; every such pair is c * (r_j, t_j) for a
-    polynomial c (von zur Gathen & Gerhard, Theorem 5.16), so the fits
-    form a space of dimension min(deg_num - deg r_j, deg_den - deg t_j) + 1.
+    polynomial c (von zur Gathen & Gerhard, Theorem 5.16).
     """
     deg_r, deg_t = next(step for step in steps if step[0] <= deg_num)
-    room = deg_den - deg_t
-    if deg_r >= 0:  # a zero r_j puts no bound on deg c
-        room = min(room, deg_num - deg_r)
-    return max(0, room + 1)
+    return _nullity(deg_r, deg_t, deg_num, deg_den)
+
+
+def _euclid_pair_mod_p(big_m: list[int], interp: list[int], deg_num: int,
+                       p: int) -> tuple[list[int], list[int]]:
+    """(r_j, t_j) mod p at the first step j >= 1 of the extended Euclidean
+    algorithm of M against A with deg r_j <= deg_num, both divided by the
+    leading coefficient of t_j, so that every prime where the degrees
+    agree gives the image of the same rational pair."""
+    r0, r1 = big_m, interp
+    t0, t1 = [], [1]
+    while len(r1) - 1 > deg_num:
+        quot, rem = _divmod_mod_p(r0, r1, p)
+        # t_(j+1) = t_(j-1) - quot * t_j; the product sets its degree
+        t2 = [0] * (len(quot) + len(t1) - 1)
+        for i, c in enumerate(t0):
+            t2[i] = c
+        for i, q in enumerate(quot):
+            for k, t in enumerate(t1):
+                t2[i + k] -= q * t
+        r0, r1 = r1, rem
+        t0, t1 = t1, [c % p for c in t2]
+    inv = pow(t1[-1], -1, p)
+    return [c * inv % p for c in r1], [c * inv % p for c in t1]
+
+
+def _rational_reconstruction(residues: list[int], modulus: int
+                             ) -> list[Fraction] | None:
+    """The rationals a/b = x mod modulus, one per residue x, with |a| and
+    b at most sqrt(modulus / 2) (von zur Gathen & Gerhard, 5.10); None
+    when a residue has no such preimage."""
+    bound = isqrt(modulus >> 1)
+    out = []
+    for x in residues:
+        r0, r1 = modulus, x
+        t0, t1 = 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if abs(t1) > bound:
+            return None
+        out.append(Fraction(r1, t1))
+    return out
+
+
+def _first_miss(candidate: RationalFunctionN,
+                pts: Sequence[tuple[int, Fraction]]) -> int | None:
+    """The first sample point the candidate does not reproduce exactly,
+    a pole there included; None when it reproduces them all."""
+    for n, a in pts:
+        den = _poly_eval(candidate.denominator, n)
+        if (den == 0 or _poly_eval(candidate.numerator, n) * a.denominator
+                != a.numerator * den):
+            return n
+    return None
+
+
+def _lifted_fit(pts: Sequence[tuple[int, Fraction]], deg_num: int,
+                deg_den: int) -> RationalFunctionN | None:
+    """The certified fit at (deg_num, deg_den) from the Euclidean pair mod
+    each prime of ``_LIFT_PRIMES``, or None when no certificate comes.
+
+    Raises NoFitError when one prime has no fit: its nullity bounds the
+    exact one from above.  A reconstructed candidate rho/tau (reduced,
+    degrees within the caps) that reproduces every point makes
+    P * tau - Q * rho vanish at more points than its degree for every fit
+    (P, Q), so the fits are exactly c * (rho, tau); two or more
+    independent ones raise AmbiguousFitError.  A candidate that fails and
+    comes back unchanged from one more prime is taken for the Euclidean
+    pair over the rationals, with a pole or a cancellation at a sample
+    point: None then, as when the primes run out or two of them disagree
+    on the degrees, and the caller's elimination decides.
+    """
+    shape = None
+    modulus = 1
+    lifted: list[int] = []
+    last = None
+    for p in _LIFT_PRIMES:
+        interpolation = _interpolation_mod_p(pts, p)
+        if interpolation is None:
+            continue
+        r, t = _euclid_pair_mod_p(*interpolation, deg_num, p)
+        if _nullity(len(r) - 1, len(t) - 1, deg_num, deg_den) == 0:
+            raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
+        if shape is None:
+            shape = (len(r), len(t))
+            lifted = [0] * (len(r) + len(t))
+        elif shape != (len(r), len(t)):
+            return None
+        inv = pow(modulus, -1, p)
+        lifted = [x + modulus * ((y - x) * inv % p)
+                  for x, y in zip(lifted, r + t)]
+        modulus *= p
+        coeffs = _rational_reconstruction(lifted, modulus)
+        if coeffs is None:
+            continue
+        if coeffs == last:
+            return None
+        last = coeffs
+        candidate = RationalFunctionN(coeffs[:len(r)], coeffs[len(r):])
+        if _first_miss(candidate, pts) is None:
+            nullity = _nullity(*candidate.degrees(), deg_num, deg_den)
+            if nullity > 1:
+                raise AmbiguousFitError(f"{nullity} independent fits at "
+                                        f"degrees ({deg_num}, {deg_den})")
+            return candidate
+    return None
 
 
 def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
@@ -389,8 +547,10 @@ def fit_rational(points: Iterable, deg_num: int,
 
     Raises NoFitError when the nullspace is trivial (or a candidate fails
     to reproduce a point), AmbiguousFitError when the solution space has
-    dimension above one.  A unique candidate is re-verified against every
-    input point before being returned.
+    dimension above one.  Every answer is certified exactly: by the
+    modular lift of ``_lifted_fit`` when it gives a certificate, else by
+    the Bareiss elimination, whose unique candidate is re-verified
+    against every input point before being returned.
     """
     if deg_num < 0 or deg_den < 0:
         raise ValueError("degrees must be >= 0")
@@ -400,6 +560,9 @@ def fit_rational(points: Iterable, deg_num: int,
         raise ValueError(
             f"need at least {u} points for degrees ({deg_num}, {deg_den}), "
             f"got {len(pts)}")
+    candidate = _lifted_fit(pts, deg_num, deg_den)
+    if candidate is not None:
+        return candidate
     basis = _nullspace(_fit_rows(pts, deg_num, deg_den))
     if not basis:
         raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
@@ -412,10 +575,9 @@ def fit_rational(points: Iterable, deg_num: int,
     if not _strip(den):
         raise NoFitError("solution has a zero denominator polynomial")
     candidate = RationalFunctionN(num, den)
-    for n, a in pts:
-        if _poly_eval(candidate.denominator, n) == 0 or candidate.evaluate(n) != a:
-            raise NoFitError(
-                f"candidate fails to reproduce the point n={n}")
+    miss = _first_miss(candidate, pts)
+    if miss is not None:
+        raise NoFitError(f"candidate fails to reproduce the point n={miss}")
     return candidate
 
 

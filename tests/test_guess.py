@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jumpstat import guess
-from jumpstat.guess import (AmbiguousFitError, GuessError, Limit, NoFitError,
-                            RationalFunctionN, _clean_points, _fit_rows,
-                            _nullity_mod_p, _nullspace, _reconstruction_steps,
-                            fit_rational, guess_rational)
+from jumpstat.guess import (AmbiguousFitError, FitError, GuessError, Limit,
+                            NoFitError, RationalFunctionN, _clean_points,
+                            _fit_rows, _nullity_mod_p, _nullspace,
+                            _reconstruction_steps, fit_rational,
+                            guess_rational)
 from jumpstat.moments import moment_table
 
 F = Fraction
@@ -109,7 +111,7 @@ def test_no_fit_for_non_rational_data():
     assert _nullspace([[1, n, -a] for n, a in primes]) == []
 
 
-def test_fit_rational_is_the_exact_elimination_alone(monkeypatch):
+def test_fit_rational_never_reruns_the_screen(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("fit_rational ran the mod-p screen")
 
@@ -136,6 +138,83 @@ def test_candidate_reproduction_guard_catches_cancellation():
     points = [(1, 9), (2, 1), (3, 1), (4, 1)]
     with pytest.raises(NoFitError, match="reproduce"):
         fit_rational(points, 1, 1)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The row counts of the Bareiss eliminations run while the test runs."""
+    calls = []
+    eliminate = guess._nullspace
+
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(guess, "_nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", [
+    test_reduced_candidate_with_a_pole_at_a_fit_point_is_refused,
+    test_candidate_reproduction_guard_catches_cancellation])
+def test_pole_and_cancellation_are_decided_by_the_elimination(eliminations,
+                                                              case):
+    case()
+    assert len(eliminations) == 1
+
+
+def test_coefficients_wider_than_the_primes_fall_back(eliminations):
+    # 8 primes of 61 bits lift coefficients of up to about 244 bits
+    rf = RationalFunctionN((3 ** 200, 1), (5 ** 130, 7))
+    points = [(n, rf.evaluate(n)) for n in range(1, 6)]
+    assert fit_rational(points, 1, 1) == rf
+    assert eliminations == [5]
+
+
+def test_the_largest_paper_fit_needs_no_elimination(monkeypatch):
+    # the jump-distance central moment of order 10 is of degrees (19, 19)
+    def never(rows):
+        raise AssertionError("fit_rational ran the Bareiss elimination")
+
+    monkeypatch.setattr(guess, "_nullspace", never)
+    table = moment_table("jumpdist", max_moment=10, n_max=60)
+    points = [(n, table.row(n).central_moment(10)) for n in range(2, 61)]
+    rf = fit_rational(points[:54], 19, 19)
+    assert rf.degrees() == (19, 19)
+    assert all(rf.evaluate(n) == a for n, a in points[54:])
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_lift_primes_are_distinct_61_bit_primes_screen_prime_first():
+    primes = guess._LIFT_PRIMES
+    assert primes[0] == guess._SCREEN_PRIME == P
+    assert len(set(primes)) == len(primes)
+    assert all(p < 1 << 61 and _is_prime(p) for p in primes)
+    # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
+    assert not any(map(_is_prime, (561, 3215031751, (1 << 61) + 1)))
 
 
 def test_fit_input_validation():
@@ -347,6 +426,50 @@ def test_mod_p_screen_is_sound(points, data):
     steps = _reconstruction_steps(pts)
     if steps is not None and _nullity_mod_p(steps, dn, dd) == 0:
         assert _nullspace(_fit_rows(pts, dn, dd)) == []
+
+
+def _fit_outcome(pts, dn, dd):
+    try:
+        return fit_rational(pts, dn, dd)
+    except FitError as exc:
+        return type(exc), str(exc)
+
+
+@given(point_sets())
+def test_lifted_fit_agrees_with_the_elimination_at_every_degree_pair(points):
+    pts = _clean_points(points)
+    pairs = _admissible_pairs(len(pts))
+    lifted = [_fit_outcome(pts, dn, dd) for dn, dd in pairs]
+    with mock.patch.object(guess, "_LIFT_PRIMES", ()):
+        eliminated = [_fit_outcome(pts, dn, dd) for dn, dd in pairs]
+    assert lifted == eliminated
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(num=polys.filter(any), den=polys.filter(any),
+       factor=st.lists(st.integers(min_value=-3, max_value=3), min_size=2,
+                       max_size=3).filter(lambda f: f[-1]),
+       scale=st.sampled_from([F(1), F(1, 3), F(P), F(-2 * P, 5)]),
+       lead=st.sampled_from([1, P]))
+def test_planted_common_factors_divide_out_as_with_the_fraction_gcd(
+        num, den, factor, scale, lead):
+    # P in the scale or in the factor's leading coefficient gives the
+    # mod-P certificate a leading coefficient that vanishes mod P; the
+    # factor then loses degree mod P and must not pass for coprimality
+    num = [scale * c for c in num]
+    factor[-1] *= lead
+    planted = (_poly_mul(num, factor), _poly_mul(den, factor))
+    with mock.patch.object(guess, "_coprime_mod_p", return_value=False):
+        by_fraction_gcd = RationalFunctionN(*planted)
+    assert RationalFunctionN(*planted) == by_fraction_gcd == \
+        RationalFunctionN(num, den)
 
 
 # --- when the screen does not apply, the exact elimination decides -----------
