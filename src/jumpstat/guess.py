@@ -5,26 +5,32 @@ with p(n_i) = a_i * q(n_i) for all i.  That linear system is homogeneous
 in the unknown coefficients, so fitting is a nullspace computation, done
 in exact arithmetic.  No floating point anywhere.
 
-* ``fit_rational`` fits one degree pair by Cauchy interpolation (von zur
-  Gathen & Gerhard, *Modern Computer Algebra*, 5.7-5.10): the extended
-  Euclidean algorithm of prod(n - n_i) against the interpolant of the
-  values, modulo a few 61-bit primes, gives the fit mod each prime; the
-  Chinese remainder theorem and rational reconstruction lift it to the
-  rationals.  Nothing is returned on trust.  A prime where no fit exists
-  proves that none exists over the rationals (reduction can only lose
-  rank), and a lifted candidate that reproduces every point exactly
-  proves itself and fixes the dimension of the solution space.  When
-  neither certificate comes (a pole or a cancellation at a sample point,
-  an unlucky prime, coefficients too wide for the primes), a
-  fraction-free (Bareiss) elimination over the integers decides.
+``fit_rational`` and the screen of ``guess_rational`` work modulo 61-bit
+primes on M = prod(n - n_i) and the interpolant A of the values, built
+together in Newton form in one pass over the points.  One routine,
+``_euclid_mod_p``, runs the extended Euclidean algorithm of M against A
+step by step (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+5.7-5.10: Cauchy interpolation); the coprimality check of
+``RationalFunctionN`` runs it too.
+
+* ``fit_rational`` fits one degree pair: the first Euclidean step with
+  deg r_j <= deg_num gives the fit mod each prime; the Chinese remainder
+  theorem and rational reconstruction lift it to the rationals.  Nothing
+  is returned on trust.  A prime where no fit exists proves that none
+  exists over the rationals (reduction can only lose rank), and a lifted
+  candidate that reproduces every point exactly proves itself and fixes
+  the dimension of the solution space.  When neither certificate comes
+  (a pole or a cancellation at a sample point, an unlucky prime,
+  coefficients too wide for the primes), a fraction-free (Bareiss)
+  elimination over the integers decides.
 * ``guess_rational`` screens its degree pairs first, modulo the prime
-  2^61 - 1, by the same Euclidean pass: its degrees give the nullity mod
-  p of the fit matrix at every degree pair at once.  Nullity 0 mod p
-  forces full rank over the rationals, so the screen rejects most
-  hopeless pairs without big-integer work, and only pairs that the exact
-  fit would reject too.  When the pass does not apply (a value's
-  denominator or the difference of two sample points is divisible by p)
-  nothing is screened.
+  2^61 - 1: the degrees of the Euclidean steps give the nullity mod p of
+  the fit matrix at every degree pair at once.  Nullity 0 mod p forces
+  full rank over the rationals, so the screen rejects most hopeless
+  pairs without big-integer work, and only pairs that the exact fit
+  would reject too.  When the pass does not apply (a value's denominator
+  or the difference of two sample points is divisible by p) nothing is
+  screened.
 
 ``guess_rational`` wraps the fit in a degree search (increasing total
 degree, smaller denominator degree first) with a mandatory holdout: the
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_HOLDOUT = 5
 DEFAULT_MAX_TOTAL_DEGREE = 24
@@ -304,24 +310,34 @@ def _fit_rows(pts: Sequence[tuple[int, Fraction]], deg_num: int,
     return rows
 
 
-def _divmod_mod_p(a: list[int], b: list[int], p: int
-                  ) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b mod p; both ascending and without
-    a zero leading coefficient, and so are the results (empty for zero)."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quot = [0] * max(0, len(a) - db)
-    while len(a) > db:
-        f = a.pop() * inv % p
-        shift = len(a) - db
-        quot[shift] = f
-        if f:
-            for i in range(db):
-                a[shift + i] = (a[shift + i] - f * b[i]) % p
-    while a and not a[-1]:
-        a.pop()
-    return quot, a
+def _euclid_mod_p(r0: list[int], r1: list[int], p: int
+                  ) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (r_j, t_j) for j >= 1 over the extended Euclidean algorithm of
+    r0 against r1 mod p, where r_j = s_j r0 + t_j r1, through the first
+    zero remainder.  Polynomials are ascending lists without a zero
+    leading coefficient (empty for zero); r0 is nonzero and
+    deg r0 >= deg r1."""
+    t0, t1 = [], [1]
+    while True:
+        yield r1, t1
+        if not r1:
+            return
+        # divide r0 by r1; each quotient term f * n^shift also takes
+        # f * n^shift * t1 off t0, so that t ends as t0 - quot * t1
+        r = r0[:]
+        d = len(r1) - 1
+        t = t0 + [0] * (len(r) - d - 1 + len(t1) - len(t0))
+        inv = pow(r1[-1], -1, p)
+        while len(r) > d:
+            f = r.pop() * inv % p
+            shift = len(r) - d
+            if f:
+                r[shift:] = [(c - f * b) % p for c, b in zip(r[shift:], r1)]
+                t[shift:shift + len(t1)] = [
+                    (c - f * b) % p for c, b in zip(t[shift:], t1)]
+        while r and not r[-1]:
+            r.pop()
+        r0, r1, t0, t1 = r1, r, t1, t
 
 
 def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
@@ -334,11 +350,11 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     p = _SCREEN_PRIME
     if not a[-1] % p or not b[-1] % p:
         return False
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b:
-        a, b = b, _divmod_mod_p(a, b, p)[1]
-    return len(a) == 1
+    if len(a) < len(b):
+        a, b = b, a
+    steps = list(_euclid_mod_p([c % p for c in a], [c % p for c in b], p))
+    # the last step's remainder is zero, the one before it is the gcd
+    return len(steps[-2][0]) == 1
 
 
 def _interpolation_mod_p(pts: Sequence[tuple[int, Fraction]], p: int
@@ -351,26 +367,20 @@ def _interpolation_mod_p(pts: Sequence[tuple[int, Fraction]], p: int
     xs = [n % p for n, _ in pts]
     if len(set(xs)) < len(xs) or any(a.denominator % p == 0 for _, a in pts):
         return None
-    m = len(xs)
-    big_m = [1]
-    for x in xs:
-        big_m = [(lo - x * hi) % p for lo, hi in zip([0, *big_m], [*big_m, 0])]
-    # Lagrange: A = sum of y_i * Q_i / Q_i(x_i), with Q_i = M / (n - x_i)
-    interp = [0] * m
+    # Newton form: after each point, M is the product over the points so
+    # far and A interpolates them; the next point adds a multiple of M.
+    # A keeps deg M coefficients (leading zeros too) and M is monic, so
+    # one Horner loop evaluates both
+    big_m, interp = [1], []
     for (_, a), x in zip(pts, xs):
-        y = a.numerator * pow(a.denominator, -1, p) % p
-        if not y:
-            continue
-        quot = [0] * m
-        acc = 0
-        for k in range(m, 0, -1):
-            acc = (big_m[k] + x * acc) % p
-            quot[k - 1] = acc
-        at_x = 0
-        for c in reversed(quot):
+        at_x, m_at_x = 0, 1
+        for c, b in zip(reversed(interp), reversed(big_m[:-1])):
             at_x = (at_x * x + c) % p
-        scale = y * pow(at_x, -1, p) % p
-        interp = [(c + scale * q) % p for c, q in zip(interp, quot)]
+            m_at_x = (m_at_x * x + b) % p
+        scale = ((a.numerator - at_x * a.denominator)
+                 * pow(a.denominator * m_at_x, -1, p) % p)
+        interp = [(c + scale * b) % p for c, b in zip([*interp, 0], big_m)]
+        big_m = [(lo - x * hi) % p for lo, hi in zip([0, *big_m], [*big_m, 0])]
     while interp and not interp[-1]:
         interp.pop()
     return big_m, interp
@@ -387,15 +397,8 @@ def _reconstruction_steps(pts: Sequence[tuple[int, Fraction]]
     interpolation = _interpolation_mod_p(pts, p)
     if interpolation is None:
         return None
-    m = len(pts)
-    # deg t_j = deg M - deg r_(j-1) (von zur Gathen & Gerhard, Lemma 3.10)
-    steps = []
-    r0, r1 = interpolation
-    while r1:
-        steps.append((len(r1) - 1, m - (len(r0) - 1)))
-        r0, r1 = r1, _divmod_mod_p(r0, r1, p)[1]
-    steps.append((-1, m - (len(r0) - 1)))
-    return steps
+    return [(len(r) - 1, len(t) - 1)
+            for r, t in _euclid_mod_p(*interpolation, p)]
 
 
 def _nullity(deg_r: int, deg_t: int, deg_num: int, deg_den: int) -> int:
@@ -420,29 +423,6 @@ def _nullity_mod_p(steps: list[tuple[int, int]], deg_num: int,
     """
     deg_r, deg_t = next(step for step in steps if step[0] <= deg_num)
     return _nullity(deg_r, deg_t, deg_num, deg_den)
-
-
-def _euclid_pair_mod_p(big_m: list[int], interp: list[int], deg_num: int,
-                       p: int) -> tuple[list[int], list[int]]:
-    """(r_j, t_j) mod p at the first step j >= 1 of the extended Euclidean
-    algorithm of M against A with deg r_j <= deg_num, both divided by the
-    leading coefficient of t_j, so that every prime where the degrees
-    agree gives the image of the same rational pair."""
-    r0, r1 = big_m, interp
-    t0, t1 = [], [1]
-    while len(r1) - 1 > deg_num:
-        quot, rem = _divmod_mod_p(r0, r1, p)
-        # t_(j+1) = t_(j-1) - quot * t_j; the product sets its degree
-        t2 = [0] * (len(quot) + len(t1) - 1)
-        for i, c in enumerate(t0):
-            t2[i] = c
-        for i, q in enumerate(quot):
-            for k, t in enumerate(t1):
-                t2[i + k] -= q * t
-        r0, r1 = r1, rem
-        t0, t1 = t1, [c % p for c in t2]
-    inv = pow(t1[-1], -1, p)
-    return [c * inv % p for c in r1], [c * inv % p for c in t1]
 
 
 def _rational_reconstruction(residues: list[int], modulus: int
@@ -501,7 +481,13 @@ def _lifted_fit(pts: Sequence[tuple[int, Fraction]], deg_num: int,
         interpolation = _interpolation_mod_p(pts, p)
         if interpolation is None:
             continue
-        r, t = _euclid_pair_mod_p(*interpolation, deg_num, p)
+        # the first step with deg r_j <= deg_num, divided by the leading
+        # coefficient of t_j, so that every prime where the degrees agree
+        # gives the image of the same rational pair
+        r, t = next(step for step in _euclid_mod_p(*interpolation, p)
+                    if len(step[0]) - 1 <= deg_num)
+        inv = pow(t[-1], -1, p)
+        r, t = [c * inv % p for c in r], [c * inv % p for c in t]
         if _nullity(len(r) - 1, len(t) - 1, deg_num, deg_den) == 0:
             raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
         if shape is None:
@@ -530,15 +516,15 @@ def _lifted_fit(pts: Sequence[tuple[int, Fraction]], deg_num: int,
 
 
 def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
-    pts = []
-    seen = set()
+    pts: dict[int, Fraction] = {}
     for n, a in points:
-        if n in seen:
-            raise ValueError(f"duplicate sample point n={n}")
-        seen.add(n)
-        pts.append((int(n), Fraction(a)))
-    pts.sort()
-    return pts
+        k = int(n)
+        if k != n:
+            raise ValueError(f"sample point n={n} is not an integer")
+        if k in pts:
+            raise ValueError(f"duplicate sample point n={k}")
+        pts[k] = Fraction(a)
+    return sorted(pts.items())
 
 
 def fit_rational(points: Iterable, deg_num: int,
@@ -632,12 +618,9 @@ def guess_rational(points: Iterable, *, holdout: int = DEFAULT_HOLDOUT,
                 candidate = fit_rational(fit_pts, deg_num, deg_den)
             except FitError:
                 continue
-            try:
-                if all(candidate.evaluate(n) == a for n, a in held):
-                    return GuessResult(candidate, candidate.degrees(),
-                                       len(fit_pts), len(held))
-            except ZeroDivisionError:
-                continue
+            if _first_miss(candidate, held) is None:
+                return GuessResult(candidate, candidate.degrees(),
+                                   len(fit_pts), len(held))
     raise GuessError(
         f"no rational function up to total degree {max_total_degree} "
         f"fits the data and the {len(held)}-point holdout",

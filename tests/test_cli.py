@@ -417,6 +417,16 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
         assert trace["spans"][span]["calls"] >= 1, span
 
 
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # every workload's tiny jobs, untraced and traced: every span the
+    # tracer binds by name and every metric of BENCHMARK.json
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest passed" in proc.stdout
+
+
 @pytest.mark.parametrize("argv, read", [
     (("enumerate", "10"), lambda out: out.readline()),
     # one 100 kB line, more than a pipe holds

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -272,6 +273,18 @@ def test_holdout_rejects_fit_that_does_not_extend():
     assert (1, 0) in exc.value.attempted
 
 
+def test_holdout_pole_rejects_the_candidate_and_the_search_moves_on():
+    # the fit points lie on 1/(n - 10), which has its pole at the first
+    # held-out point: the candidate is refused there, not evaluated
+    points = [(n, F(1, n - 10)) for n in range(1, 10)]
+    points += [(10, 0), (11, 1), (12, F(1, 2))]
+    pole = RationalFunctionN((1,), (-10, 1))
+    assert fit_rational(points[:9], 0, 1) == pole
+    with pytest.raises(GuessError) as exc:
+        guess_rational(points, holdout=3)
+    assert (0, 1) in exc.value.attempted
+
+
 def test_one_screen_pass_per_guess(monkeypatch):
     calls = []
     screen = guess._reconstruction_steps
@@ -295,6 +308,30 @@ def test_guess_input_validation():
         guess_rational(MEAN_POINTS, holdout=0)
     with pytest.raises(ValueError, match="cannot support"):
         guess_rational([(1, 1), (2, 2), (3, 3)], holdout=2)
+
+
+# integer points on (n^2 + 1)/(n + 3)
+SMOOTH_POINTS = [(n, F(n * n + 1, n + 3)) for n in range(2, 12)]
+
+
+@pytest.mark.parametrize("n", [F(5, 2), 2.5])
+def test_non_integral_sample_point_is_refused_by_name(n):
+    # truncated to 2, it would be fitted as a second point at n = 2, or
+    # reported by guess_rational's inner fit as a duplicate of it
+    points = SMOOTH_POINTS + [(n, 7)]
+    message = re.escape(f"sample point n={n} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        fit_rational(points, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        guess_rational(points)
+
+
+def test_duplicates_are_found_after_conversion_to_int():
+    with pytest.raises(ValueError, match=r"duplicate sample point n=2$"):
+        fit_rational(SMOOTH_POINTS + [(2.0, 7)], 2, 1)
+    integral = [(float(n), a) for n, a in SMOOTH_POINTS]
+    assert fit_rational(integral, 2, 1) == RationalFunctionN((1, 0, 1),
+                                                              (3, 1))
 
 
 # --- exact linear algebra, property-based -------------------------------------
@@ -426,6 +463,60 @@ def test_mod_p_screen_is_sound(points, data):
     steps = _reconstruction_steps(pts)
     if steps is not None and _nullity_mod_p(steps, dn, dd) == 0:
         assert _nullspace(_fit_rows(pts, dn, dd)) == []
+
+
+def _mul_mod_p(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % P
+    return out
+
+
+def _rem_mod_p(a, monic):
+    """a mod a monic polynomial, by schoolbook long division mod P, with
+    no zero leading coefficient."""
+    a = a[:]
+    d = len(monic) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        f = a[top]
+        for i, c in enumerate(monic):
+            a[top - d + i] = (a[top - d + i] - f * c) % P
+    rem = [c % P for c in a[:d]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+@given(point_sets())
+def test_newton_interpolation_against_the_product_and_the_values(points):
+    pts = _clean_points(points)
+    big_m, interp = guess._interpolation_mod_p(pts, P)
+    product = [1]
+    for n, _ in pts:
+        product = _mul_mod_p(product, [-n % P, 1])
+    assert big_m == product
+    assert len(interp) <= len(pts) and (not interp or interp[-1])
+    for n, a in pts:
+        at_n = sum(c * pow(n, j, P) for j, c in enumerate(interp)) % P
+        assert at_n == a.numerator * pow(a.denominator, -1, P) % P
+
+
+@given(point_sets())
+def test_every_euclidean_step_is_a_congruence_with_lemma_degrees(points):
+    pts = _clean_points(points)
+    big_m, interp = guess._interpolation_mod_p(pts, P)
+    steps = list(guess._euclid_mod_p(big_m, interp, P))
+    assert steps[-1][0] == [] and all(r for r, _ in steps[:-1])
+    previous = big_m
+    for r, t in steps:
+        assert not t or t[-1]
+        # r_j = s_j M + t_j A, so t_j A = r_j mod M
+        assert _rem_mod_p(_mul_mod_p(t, interp or [0]), big_m) == r
+        # deg t_j = deg M - deg r_(j-1) (von zur Gathen & Gerhard,
+        # Lemma 3.10)
+        assert len(t) - 1 == len(pts) - (len(previous) - 1)
+        previous = r
 
 
 def _fit_outcome(pts, dn, dd):
