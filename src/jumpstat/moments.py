@@ -1,12 +1,31 @@
 """Exact moment tables for the jump statistics, and their closed forms.
 
-For a statistic with weight series sum(c_n(q) * x^n), the coefficient
-of q^k in c_n counts the trees of size n with value k, so the power sum
-s_r = sum(k^r * [q^k] c_n), the value at q = 1 of (q*d/dq)^r c_n, is
-sum(value^r) over all trees of size n.  Each c_n is decoded once into
-its list of q-coefficients and every s_r is read off that list.  With
-c = s_0 the tree count, the raw moment is m_r = s_r / c, and the moment
-about the mean is one exact quotient of integers,
+A table rests on the power sums s_r(n) = sum(value^r) over the trees of
+size n.  For a weight series sum(c_n(q) * x^n), with [q^k] c_n the
+number of trees of size n with value k, s_r(n) is the value at q = 1 of
+(q*d/dq)^r c_n.  Differentiating the marker equation at marker = 1
+(Flajolet & Sedgewick, *Analytic Combinatorics*, Section III.2) turns
+these into one-marker integer series in x, solved order by order in r:
+
+* Jumps.  H = 1 + x*H + q*x*(H - 1)*H, and T_r = sum(s_r(n) * x^n).
+  With T_0 = f, the tree counter, and P_j = sum(C(j,i) * T_i * T_(j-i)),
+
+      T_r = x * (sum(C(r,j) * (P_j - T_j), j < r)
+                 + sum(C(r,i) * T_i * T_(r-i), 0 < i < r) + 2f * T_r),
+
+  linear in T_r.  As 1 - 2x*f = sqrt(1 - 4x), T_r is the first two sums
+  of the bracket times x * sum(C(2n,n) * x^n) = x / sqrt(1 - 4x).
+* Jump distance.  The depth series J = 1 + x*t*f*J gives the depth power
+  sums D_0 = f and D_k = x*f*(sum(C(k,i) * D_i, i < k) + D_k), that is
+  D_k = (f - 1) * sum(C(k,i) * D_i, i < k).  Jump distance is n - depth,
+  so s_r(n) = sum(C(r,k) * n^(r-k) * (-1)^k * [x^n] D_k, k = 0..r).
+
+``moment_table`` checks each of these linear equations exactly, and
+compares the sums at small n with ``q_log_derivative_power``, which reads
+them off the two-marker series H or K with one decode of each
+coefficient.  With c = s_0 the tree count, the raw moment is
+m_r = s_r / c, and the moment about the mean is one exact quotient of
+integers,
 
     mu_r = sum(binomial(r, k) * c^k * s_k * (-s_1)^(r-k), k=0..r) / c^(r+1),
 
@@ -37,20 +56,30 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .algebra import Series
-from .genfunc import ResourceCapError, SelfCheckError, solve_H, solve_K
+from .algebra import Series, _digits, _pack, _slot_width
+from .genfunc import (ResourceCapError, SelfCheckError, _capped, solve_H,
+                      solve_K)
 from .guess import RationalFunctionN
 from .trees import catalan
 
 DEFAULT_MAX_MOMENT = 4
 DEFAULT_N_MAX = 60
 
-# The largest moment order a table accepts.  On a 2-vCPU x86 VM a table
-# to order 24 took 5.6-5.9 s of CPU for jumpdist at n_max 400 and
-# 1.0 s for jumps at n_max 200 with the series cached; with the solve
-# (11.5-13.0 s for K, 14.4-16.8 s for H) the worst admitted request takes
-# about 19 s, inside the band that sized ``genfunc.ORDER_CAPS``.
+# The largest moment order a table accepts.  It was sized when a table
+# solved H or K at n_max: the worst admitted request took about 19 s of
+# CPU, inside the 8-27 s band that sized ``genfunc.ORDER_CAPS``.  From
+# the one-marker series, a table to order 24 took 6.1-7.9 s for jumpdist
+# at n_max 400 (1.3-1.8 s of it power sums, most of the rest building
+# its Fraction rows) and 1.4 s for jumps at n_max 200, on a 2-vCPU x86
+# VM.  The cap, and the n caps of H and K that a table still obeys, are
+# kept so that every refusal reads as before.
 MOMENT_CAP = 24
+
+# The highest order at which a table's power sums are compared with the
+# two-marker series.  Forty covers every table of a paper session (n_max
+# 32 at most), so the session reuses the series that its verifications
+# solved, and keeps each cold solve at a few hundredths of a second.
+CROSS_CHECK_ORDER = 40
 
 STATS = ("jumps", "jumpdist")
 
@@ -178,15 +207,84 @@ class MomentTable:
         return out.getvalue()
 
 
+def _one_marker_sums(stat: str, max_moment: int, n_max: int) -> list[list[int]]:
+    """sums[r][n] for r <= max_moment and n <= n_max, from the one-marker
+    recurrences of the module docstring.
+
+    Every series is nonnegative and packed into one int, slot n holding
+    [x^n], in one slot width for the table.  That width holds
+    catalan(n_max + 1) * (n_max + 1)^max_moment, a bound on every
+    coefficient at x^0..x^n_max of every product, sum and multiple below
+    (each is at most [x^(n + 1)] of some T_r or D_k), so a product is one
+    bignum multiply cut to n_max + 1 slots by a mask: what spills past
+    the mask never reaches a slot below it.  Each linear equation is
+    checked exactly on the packed ints.
+    """
+    R, N = max_moment, n_max
+    w = _slot_width((catalan(N + 1) * (N + 1) ** R).bit_length())
+    mask = (1 << (w * (N + 1))) - 1
+    binomials = [[comb(r, i) for i in range(r + 1)] for r in range(R + 1)]
+    f = _pack([catalan(n) for n in range(N + 1)], w)
+
+    def unpacked(v: int) -> list[int]:
+        digits = _digits(v, w)
+        return digits + [0] * (N + 1 - len(digits))
+
+    def check(lhs: int, rhs: int, what: str) -> None:
+        if lhs != rhs:
+            hit = next(n for n, (a, b) in enumerate(zip(unpacked(lhs),
+                                                        unpacked(rhs)))
+                       if a != b)
+            raise SelfCheckError(
+                f"{stat} moment series {what} failed its equation at x^{hit}")
+
+    if stat == "jumps":
+        central = _pack([comb(2 * n, n) for n in range(N + 1)], w)
+        T = [f]
+        gaps = [(f * f & mask) - f]     # P_j - T_j, all nonnegative
+        for r in range(1, R + 1):
+            row = binomials[r]
+            # Q_r = sum C(r,i) T_i T_(r-i) over 0 < i < r, each pair once
+            q = 2 * sum(row[i] * (T[i] * T[r - i] & mask)
+                        for i in range(1, (r + 1) // 2))
+            if r % 2 == 0:
+                q += row[r // 2] * (T[r // 2] * T[r // 2] & mask)
+            bracket = sum(map(mul, row, gaps)) + q
+            t = (central * bracket << w) & mask
+            ft = f * t & mask
+            check(t, (bracket + 2 * ft << w) & mask, f"T_{r}")
+            T.append(t)
+            gaps.append(q + 2 * ft - t)
+        return [unpacked(t) for t in T]
+
+    D = [f]
+    for k in range(1, R + 1):
+        below = sum(map(mul, binomials[k], D))
+        d = (f - 1) * below & mask
+        check(d, (f * (below + d) << w) & mask, f"D_{k}")
+        D.append(d)
+    # jumpdist = n - depth: sums[r][n] is (n - E)^r applied to the depth
+    # sums d_k = [x^n]D_k, where E shifts d_k to d_(k+1)
+    v = [unpacked(d) for d in D]
+    sums = [v[0]]
+    for _ in range(R):
+        v = [[n * c - e for n, (c, e) in enumerate(zip(a, b))]
+             for a, b in zip(v, v[1:])]
+        sums.append(v[0])
+    return sums
+
+
 def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
                  n_max: int = DEFAULT_N_MAX) -> MomentTable:
     """Exact moments of one statistic for every size 0..n_max.
 
-    The underlying series is solved at order n_max (and so runs through
-    its own closed-form verification); the tree counts it implies are
-    additionally cross-checked against the direct binomial formula.  A
-    max_moment above MOMENT_CAP raises ResourceCapError, and so does an
-    n_max above the series' ``ORDER_CAPS`` entry, before any work.
+    The power sums come from the one-marker series of the module
+    docstring, each checked against its linear equation.  Up to
+    min(n_max, CROSS_CHECK_ORDER) they are also compared with the
+    two-marker series H or K solved at that order, which verifies its
+    own closed form; a mismatch raises SelfCheckError.  A max_moment
+    above MOMENT_CAP raises ResourceCapError, and so does an n_max
+    above H's or K's ``ORDER_CAPS`` entry, before any work.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}, expected one of {STATS}")
@@ -196,17 +294,22 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
         raise ValueError("n_max must be >= 0")
     if max_moment > MOMENT_CAP:
         raise ResourceCapError("moment", max_moment, MOMENT_CAP, "moment")
-    series = solve_H(n_max) if stat == "jumps" else solve_K(n_max)
+    _capped("H" if stat == "jumps" else "K", n_max)
 
     # sums[r][n] = sum of value^r over the trees of size n
-    sums = q_log_derivative_power(series, max_moment)
+    sums = _one_marker_sums(stat, max_moment, n_max)
+    order = min(n_max, CROSS_CHECK_ORDER)
+    series = solve_H(order) if stat == "jumps" else solve_K(order)
+    for r, want in enumerate(q_log_derivative_power(series, max_moment)):
+        for n, (got, expected) in enumerate(zip(sums[r], want)):
+            if got != expected:
+                raise SelfCheckError(
+                    f"{stat} power sum s_{r} at x^{n} is {got}, the "
+                    f"two-marker series gives {expected}")
 
     rows = []
     for n in range(n_max + 1):
         count, s1 = sums[0][n], sums[1][n]
-        if count != catalan(n):
-            raise SelfCheckError(
-                f"series tree count at x^{n} is {count}, expected {catalan(n)}")
         m = [Fraction(s[n], count) for s in sums]   # m[0] = 1
         central = [
             Fraction(sum(comb(r, k) * count ** k * sums[k][n] * (-s1) ** (r - k)

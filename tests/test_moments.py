@@ -4,13 +4,16 @@ import dataclasses
 import json
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from jumpstat import moments
 from jumpstat.algebra import Poly2
-from jumpstat.genfunc import ResourceCapError, solve_H, solve_Jdepth, solve_K
-from jumpstat.moments import (MOMENT_CAP, REFERENCE_FORMULAS, MomentRow,
+from jumpstat.genfunc import (ResourceCapError, SelfCheckError, solve_H,
+                              solve_Jdepth, solve_K)
+from jumpstat.moments import (CROSS_CHECK_ORDER, MOMENT_CAP,
+                              REFERENCE_FORMULAS, MomentRow,
                               check_closed_forms, moment_table,
                               q_log_derivative_power)
 from jumpstat.trees import catalan, enumerate_trees_with_stats
@@ -277,3 +280,114 @@ def test_moment_row_is_frozen():
     assert isinstance(row, MomentRow)
     with pytest.raises(AttributeError):
         row.count = 9
+
+
+# --- power sums against integer formulas ----------------------------------
+
+def _narayana_sums(n: int, r_max: int) -> list[int]:
+    """sum(k^r * N(n, k)) for r = 0..r_max: a tree of size n >= 1 has k
+    jumps for N(n, k) = C(n, k) C(n, k+1) / n of its shapes, the Narayana
+    numbers."""
+    if n == 0:
+        return [1] + [0] * r_max   # the leaf: 0 jumps, and 0^0 = 1
+    counts = [comb(n, k) * comb(n, k + 1) // n for k in range(n)]
+    return [sum(k ** r * c for k, c in enumerate(counts))
+            for r in range(r_max + 1)]
+
+
+def _ballot_sums(n: int, r_max: int) -> list[int]:
+    """sum((n - d)^r * b(n, d)) for r = 0..r_max: a tree of size n >= 1
+    has rightmost depth d, so jump distance n - d, for the ballot number
+    b(n, d) = d C(2n - d, n) / (2n - d) of its shapes."""
+    if n == 0:
+        return [1] + [0] * r_max
+    counts = {n - d: d * comb(2 * n - d, n) // (2 * n - d)
+              for d in range(1, n + 1)}
+    return [sum(v ** r * c for v, c in counts.items())
+            for r in range(r_max + 1)]
+
+
+_FORMULA_SUMS = {"jumps": _narayana_sums, "jumpdist": _ballot_sums}
+
+
+def _table_power_sums(table) -> list[list[int]]:
+    """rows[n][r] = s_r(n), read back from the table as count * m_r."""
+    out = []
+    for row in table.rows:
+        sums = [row.count] + [row.count * m for m in row.raw]
+        assert all(s.denominator == 1 for s in sums[1:]), row.n
+        out.append([int(s) for s in sums])
+    return out
+
+
+def test_integer_formulas_match_the_enumerated_power_sums(stat_counts_small):
+    for stat, formula in _FORMULA_SUMS.items():
+        for n in range(9):
+            values = Counter()
+            for stats, mult in stat_counts_small[n].items():
+                values[getattr(stats, stat)] += mult
+            assert formula(n, 4) == [sum(m * v ** r for v, m in values.items())
+                                     for r in range(5)], (stat, n)
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_power_sums_match_the_integer_formulas_to_n_200(stat):
+    # far above the cross-check against the two-marker series, which
+    # stops at CROSS_CHECK_ORDER
+    sums = _table_power_sums(moment_table(stat, max_moment=10, n_max=200))
+    for n, row in enumerate(sums):
+        assert row == _FORMULA_SUMS[stat](n, 10), n
+
+
+@pytest.mark.parametrize("stat,solve", [("jumps", solve_H),
+                                        ("jumpdist", solve_K)])
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize("max_moment", [1, MOMENT_CAP])
+def test_edge_tables_match_the_two_marker_series(stat, solve, n_max,
+                                                 max_moment):
+    table = moment_table(stat, max_moment=max_moment, n_max=n_max)
+    want = q_log_derivative_power(solve(n_max), max_moment)
+    assert _table_power_sums(table) == [list(col) for col in zip(*want)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stat,n_max", [("jumps", 200), ("jumpdist", 400)])
+def test_power_sums_at_the_caps_match_the_integer_formulas(stat, n_max):
+    # the worst requests a table admits: the widest slots of the packed
+    # one-marker series
+    sums = _table_power_sums(moment_table(stat, MOMENT_CAP, n_max))
+    for n, row in enumerate(sums):
+        assert row == _FORMULA_SUMS[stat](n, MOMENT_CAP), n
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_a_power_sum_that_disagrees_with_the_two_marker_series_raises(
+        monkeypatch, stat):
+    solved = q_log_derivative_power
+
+    def off_by_one(series, r):
+        sums = solved(series, r)
+        sums[3][17] += 1
+        return sums
+
+    monkeypatch.setattr(moments, "q_log_derivative_power", off_by_one)
+    with pytest.raises(SelfCheckError,
+                       match=rf"{stat} power sum s_3 at x\^17 is "):
+        moment_table(stat, max_moment=4, n_max=60)
+
+
+# With f wrong at x^b, the residual of D_1 = (f - 1) f is
+# (f - 1 - x f^2) f, nonzero from x^b on.  That of T_1 = x C (f^2 - f),
+# C = sum(C(2n,n) x^n), is x (f^2 - f) (C (1 - 2x f) - 1), whose three
+# factors start at x^1, x^1 and x^(b+1): it is nonzero from x^(b+3) on.
+@pytest.mark.parametrize("stat,lag", [("jumps", 3), ("jumpdist", 0)])
+def test_a_corrupt_recurrence_input_fails_its_equation(monkeypatch, stat,
+                                                       lag):
+    # above the cross-check, so only the equations of the one-marker
+    # series can see it
+    bad = CROSS_CHECK_ORDER + 5
+    monkeypatch.setattr(moments, "catalan",
+                        lambda n: catalan(n) + (n == bad))
+    with pytest.raises(SelfCheckError,
+                       match=rf"_1 failed its equation at x\^{bad + lag}$"):
+        moment_table(stat, max_moment=4, n_max=60)
