@@ -35,8 +35,12 @@ Verdict ids:
 * 3 — H: cross-multiplied closed form 2qx*H + (-qx + R + x - 1) = 0 where
       R = sqrt(q^2x^2 - 2qx^2 - 2qx + x^2 - 2x + 1).
 * 4 — J: functional equation J = 1 + x*t*J(x,1)*J(x,t).
-* 5 — J: cross-multiplied closed form (t*sqrt(1-4x) - t + 2)*J = 2.
-* 6 — K: cross-multiplied closed form (sqrt(1-4qx) - 1 + 2q)*K = 2q.
+* 5 — J: 2*(1 - t + t^2x)*J + (t - 2) + t*sqrt(1-4x) = 0, theorem 2 at q=1.
+* 6 — K: 2*(q - 1 + x)*K + (1 - 2q) + sqrt(1-4qx) = 0.
+
+Ids 5 and 6 are the paper's A*S = c times A's conjugate B (R -> -R): A*B =
+(2-t)^2 - t^2(1-4x) = 4(1-t+t^2x) for J, (2q-1)^2 - (1-4qx) = 4q(q-1+x) for
+K.  No factor is a zero divisor, so both forms first fail at the same x^m.
 """
 
 from __future__ import annotations
@@ -74,9 +78,10 @@ class ResourceCapError(RuntimeError):
 
 # The largest order each solver accepts.  A solve at order N holds about
 # N^3/6 terms for F and N^2/2 for H, J and K (N for f, whose N-th
-# coefficient has about 2N bits).  Each cap is an order at which one
-# solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM
-# (see CHANGES.md); the cost grows about as N^5 for F and H.
+# coefficient has about 2N bits).  Each cap was an order at which one
+# solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM; the
+# cost grows about as N^5 for F and H.  J and K, checked in linear form,
+# now take 3.7-4.2 s and 4.1-4.5 s at 400; recorded refusals name the cap.
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
@@ -181,12 +186,16 @@ def solve_catalan(order: int) -> Series:
         lambda f: dot(f, f[::-1]) if f else Poly2.one(), order)
 
 
+def _linear_residual(S: Series, d0: Poly2 | int, d1: Poly2 | int, lin: list,
+                     radical: Series) -> Series:
+    """(d0 + d1*x)*S + lin + radical: two products per x-power of S."""
+    return S * d0 + (S * d1).shift_x() + _x_poly(lin, radical.order) + radical
+
+
 def _theorem3_residual(H: Series, order: int) -> Series:
     # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1
-    two_qx = _x_poly([Poly2.zero(), Poly2.term(2, eq=1)], order)
-    lin = _x_poly(
-        [Poly2.constant(-1), Poly2({(0, 0): 1, (0, 1): -1})], order)
-    return two_qx * H + lin + jumps_radical(order)
+    return _linear_residual(H, 0, 2 * _Q, [-1, _ONE_MINUS_Q],
+                            jumps_radical(order))
 
 
 @lru_cache(maxsize=4)
@@ -233,24 +242,16 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
     elif F.order < order:
         raise ValueError(f"series order {F.order} is below requested {order}")
     factor_diff = printed_radicand(order) - inner_radicand(order) * Poly2({(2, 0): 1})
-    # 2*(qtx + t^2x - tx - t + 1): x^0 -> 2 - 2t, x^1 -> 2qt + 2t^2 - 2t
-    den = _x_poly(
-        [Poly2({(0, 0): 2, (1, 0): -2}),
-         Poly2({(1, 1): 2, (2, 0): 2, (1, 0): -2})], order)
-    # -qtx + tx + t - 2: x^0 -> t - 2, x^1 -> t - qt
-    lin = _x_poly(
-        [Poly2({(1, 0): 1, (0, 0): -2}),
-         Poly2({(1, 0): 1, (1, 1): -1})], order)
-    residual = den * F + lin + jumps_radical(order) * _T
-    hit = _first_failure(factor_diff, residual)
+    hit = _first_failure(factor_diff, _linear_residual(
+        F, 2 - 2 * _T, 2 * _T * (_Q + _T - 1), [_T - 2, _T * _ONE_MINUS_Q],
+        jumps_radical(order) * _T))
     return Verdict("2", order, hit is None, hit)
 
 
 def _theorem5_residual(J: Series, order: int) -> Series:
-    # (t*sqrt(1-4x) - t + 2)*J - 2
-    front = catalan_radical(order) * _T + Series.constant(
-        Poly2({(1, 0): -1, (0, 0): 2}), order)
-    return front * J - 2
+    # 2*(1 - t + t^2x)*J + (t - 2) + t*sqrt(1-4x), theorem 2's at q=1
+    return _linear_residual(J, 2 - 2 * _T, 2 * _T * _T, [_T - 2],
+                            catalan_radical(order) * _T)
 
 
 @lru_cache(maxsize=4)
@@ -266,10 +267,9 @@ def solve_Jdepth(order: int) -> Series:
 
 
 def _theorem6_residual(K: Series, order: int) -> Series:
-    # (sqrt(1-4qx) - 1 + 2q)*K - 2q
-    front = jumpdist_radical(order) + Series.constant(
-        Poly2({(0, 0): -1, (0, 1): 2}), order)
-    return front * K - Series.constant(Poly2.term(2, eq=1), order)
+    # 2*(q - 1 + x)*K + (1 - 2q) + sqrt(1-4qx)
+    return _linear_residual(K, 2 * _Q - 2, 2, [1 - 2 * _Q],
+                            jumpdist_radical(order))
 
 
 @lru_cache(maxsize=4)

@@ -68,11 +68,11 @@ DEFAULT_N_MAX = 60
 # The largest moment order a table accepts.  It was sized when a table
 # solved H or K at n_max: the worst admitted request took about 19 s of
 # CPU, inside the 8-27 s band that sized ``genfunc.ORDER_CAPS``.  From
-# the one-marker series, a table to order 24 took 6.1-7.9 s for jumpdist
-# at n_max 400 (1.3-1.8 s of it power sums, most of the rest building
-# its Fraction rows) and 1.4 s for jumps at n_max 200, on a 2-vCPU x86
-# VM.  The cap, and the n caps of H and K that a table still obeys, are
-# kept so that every refusal reads as before.
+# the one-marker series, a table to order 24 took 2.7-4.6 s for jumpdist
+# at n_max 400 (0.9-1.4 s of it power sums, most of the rest the central
+# moments of its Fraction rows) and 1.1-1.3 s for jumps at n_max 200, on
+# a 2-vCPU x86 VM.  The cap, and the n caps of H and K that a table
+# still obeys, are kept so that every refusal reads as before.
 MOMENT_CAP = 24
 
 # The highest order at which a table's power sums are compared with the
@@ -311,9 +311,14 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     for n in range(n_max + 1):
         count, s1 = sums[0][n], sums[1][n]
         m = [Fraction(s[n], count) for s in sums]   # m[0] = 1
+        # count^k and (-s1)^j, each power computed once per row
+        cpow, spow = [1], [1]
+        for _ in range(max_moment + 1):
+            cpow.append(cpow[-1] * count)
+            spow.append(spow[-1] * -s1)
         central = [
-            Fraction(sum(comb(r, k) * count ** k * sums[k][n] * (-s1) ** (r - k)
-                         for k in range(r + 1)), count ** (r + 1))
+            Fraction(sum(comb(r, k) * cpow[k] * sums[k][n] * spow[r - k]
+                         for k in range(r + 1)), cpow[r + 1])
             for r in range(2, max_moment + 1)]
         mu2 = central[0] if central else 0
         scaled_even: dict[int, Fraction] = {}

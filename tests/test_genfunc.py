@@ -359,3 +359,65 @@ def test_verify_theorem_evaluates_each_identity_once(monkeypatch, theorem):
     finally:
         _clear_self_checking_caches()
     assert orders == [10]
+
+
+# --- the linear self-checks of ids 5 and 6 against the printed forms --------
+
+def _printed_theorem5_residual(J: Series, order: int) -> Series:
+    # the paper's form, (t*sqrt(1-4x) - t + 2)*J - 2: a series product
+    return (genfunc.catalan_radical(order) * T + (2 - T)) * J - 2
+
+
+def _printed_theorem6_residual(K: Series, order: int) -> Series:
+    # the paper's form, (sqrt(1-4qx) - 1 + 2q)*K - 2q: a series product
+    return (genfunc.jumpdist_radical(order) + (2 * Q - 1)) * K - 2 * Q
+
+
+_FORMS = {"5": (solve_Jdepth, genfunc._theorem5_residual,
+                _printed_theorem5_residual, "catalan_radical", T),
+          "6": (solve_K, genfunc._theorem6_residual,
+                _printed_theorem6_residual, "jumpdist_radical", Q)}
+
+
+def _first_failures(theorem: str, series: Series, order: int) -> tuple:
+    _, linear, printed, _, _ = _FORMS[theorem]
+    return tuple((form(series, order).first_nonzero() or (None,))[0]
+                 for form in (linear, printed))
+
+
+@pytest.mark.parametrize("theorem", ["5", "6"])
+def test_linear_and_printed_forms_vanish_on_the_solved_series(theorem):
+    solver = _FORMS[theorem][0]
+    for order in range(61):
+        assert _first_failures(theorem, solver(order), order) == (None, None)
+
+
+@pytest.mark.parametrize("theorem", ["5", "6"])
+def test_every_single_term_corruption_fails_both_forms_at_its_index(
+        monkeypatch, theorem):
+    # every t^d of J, or q^b of K, with d, b <= m at every x^m up to 24
+    solver, _, _, radical, marker = _FORMS[theorem]
+    order = 24
+    series, root = solver(order), getattr(genfunc, radical)(order)
+    monkeypatch.setattr(genfunc, radical, lambda n: root)
+    for m in range(order + 1):
+        for e in range(m + 1):
+            wrong = series + Series.from_x_coefficients(
+                [0] * m + [Poly2.term(1, et=e) if marker == T
+                           else Poly2.term(1, eq=e)], order)
+            assert _first_failures(theorem, wrong, order) == (m, m), (m, e)
+
+
+@pytest.mark.parametrize("theorem", ["5", "6"])
+def test_a_wrong_radical_fails_both_forms_at_the_same_index(monkeypatch,
+                                                            theorem):
+    solver, _, _, radical, _ = _FORMS[theorem]
+    order = 16
+    series, right = solver(order), getattr(genfunc, radical)
+    wrongs = [(1, lambda n: Series.one(n))] + [
+        (m, lambda n, m=m: right(n) + Series.from_x_coefficients(
+            [0] * m + [Poly2.term(2, eq=m if theorem == "6" else 0)], n))
+        for m in (0, 1, 5, order)]
+    for m, wrong in wrongs:
+        monkeypatch.setattr(genfunc, radical, wrong)
+        assert _first_failures(theorem, series, order) == (m, m)
