@@ -35,11 +35,15 @@ min(terms(a_i), terms(b_i)), since a term of a product takes one term of
 each factor; its slot is that bit length plus a sign bit, rounded up to
 whole bytes.  Each product checks this bound first and packs its
 operands wider when their layout is too narrow, so nothing wraps.
-``Series.__mul__`` picks one layout for all of its products;
-``inverse``, ``sqrt`` and ``fixed_point_solve`` keep one for the whole
-solve, re-check it before each coefficient from the bounds of one decode
-of each coefficient solved so far, and re-pack with room to grow when it
-would overflow.
+``Series.__mul__`` picks one layout for all of its products.  The online
+solves keep one layout for the whole solve.  ``inverse`` fixes it before
+the first coefficient from an l1 majorant of its recurrence, computed on
+plain ints, and never re-checks, re-packs or decodes.  ``sqrt`` and
+``fixed_point_solve`` re-check it before each coefficient from the bounds
+of one decode of each coefficient solved so far, and re-pack with room to
+grow when it would overflow.  On the radicals that ``sqrt`` solves the
+same majorant gives slots about 12 % wider than the re-checks reach, and
+a fixed-point step is opaque, so no majorant of it exists in advance.
 """
 
 from __future__ import annotations
@@ -99,6 +103,14 @@ def _spread(terms: Iterable[tuple[tuple[int, int], int]], tdeg: int,
     return digits
 
 
+def _restride(digits: list[int], s0: int, s: int) -> list[int]:
+    """Digits in t-stride s0, which end in a nonzero one, in t-stride s."""
+    if s0 == s or len(digits) <= s0:   # t-free digits read alike in both
+        return digits
+    return _spread(((divmod(k, s0), c) for k, c in enumerate(digits) if c),
+                   (len(digits) - 1) // s0, s)
+
+
 def _exact_meta(digits: list[int], s: int) -> tuple:
     """The bounds of the digits, which end in a nonzero one, in t-stride s."""
     if not digits:
@@ -145,10 +157,7 @@ def _conv(p: Poly2, w: int, s: int) -> int:
         return 0
     if p._w == w and (p._s == s or not p._meta[2]):
         return p._v
-    if p._s == s:
-        return _pack(_digits(p._v, p._w), w)
-    terms = p.items()
-    return _pack(_spread(terms, terms[-1][0][0], s), w)
+    return _pack(_restride(_digits(p._v, p._w), p._s, s), w)
 
 
 def _relaid(p: Poly2, w: int, s: int) -> Poly2:
@@ -566,32 +575,39 @@ class Series:
     def inverse(self) -> Series:
         """Multiplicative inverse of a series whose x^0 term is 1 or -1,
         the units of the coefficient ring; each is its own inverse:
-        u_n = -u_0 * sum(s_k * u_(n-k), 0 < k <= n)."""
+        u_n = -u_0 * sum(s_k * u_(n-k), 0 < k <= n).
+
+        The layout is fixed before u_1 from an l1 majorant, |p|_1 being
+        the sum of the absolute values of the terms of p: V_0 = 1 and
+        V_n = sum(|s_k|_1 * V_(n-k), 0 < k <= n) bound |u_n|_1, so the
+        largest V_n bounds every slot of every u_n and, as |s_k|_1 <= V_k,
+        of every s_k.  Each u_n stores bits(V_n) and the width rule's
+        term and degree bounds, so nothing is re-packed or decoded.  For
+        F and J, which invert 1 - x*t*G with G >= 0, V_n = Cat(n).
+        """
         head = self._coeffs[0]
         if head != 1 and head != -1:
             raise ValueError(f"inverse needs an x^0 term of 1 or -1, got {head}")
         negate = head.constant_value() == 1
-        order, s_all = self.order, self._coeffs
-        u: list[Poly2] = [_tight(head)]    # all in the layout (w, s)
-        sv: list[tuple[int, int]] = []     # s_1 .., split, in the layout
-        uv: list[tuple[int, int]] = []     # u, split
-        s_bounds = [_tight(c)._meta for c in s_all[1:]]
-        u_bounds = [u[0]._meta]
-        w = s = 0
-        for n in range(1, order + 1):
-            meta = _dot_meta(s_bounds, u_bounds[::-1])
-            if meta[0] >= w or meta[3] >= s:
-                w, s = _grown(meta[0], meta[3], w, s, n, order)
-                sv = [_split(_conv(c, w, s)) for c in s_all[1:n]]
-                u = [_relaid(c, w, s) for c in u]
-                uv = [_split(c._v) for c in u]
-            # s_n pairs with u_0 = +-1, so the bound covers it
-            sv.append(_split(_conv(s_all[n], w, s)))
+        tail = [(c._s, _digits(c._v, c._w)) for c in self._coeffs[1:]]
+        s_bounds = [_exact_meta(d, s0) for s0, d in tail]
+        norms = [sum(map(abs, d)) for _, d in tail]
+        majorant, u_bounds = [1], [(1, 1, 0, 0)]
+        for _ in tail:
+            v = sum(map(mul, norms, majorant[::-1]))
+            majorant.append(v)
+            u_bounds.append((v.bit_length(),)
+                            + _dot_meta(s_bounds, u_bounds[::-1])[1:]
+                            if v else _ZERO)
+        w = _slot_width(max(majorant).bit_length())
+        s = max(0, *(m[3] for m in s_bounds + u_bounds)) + 1
+        sv = [_split(_pack(_restride(d, s0, s), w)) for s0, d in tail]
+        u, uv = [head._v], [(head._v, 0)]   # u, and u split
+        for _ in tail:
             v = _split_dot(sv, uv[::-1])
-            u.append(_tight(Poly2._make(-v if negate else v, w, s, meta)))
-            uv.append(_split(u[-1]._v))
-            u_bounds.append(u[-1]._meta)
-        return Series(u)
+            u.append(-v if negate else v)
+            uv.append(_split(u[-1]))
+        return Series([Poly2._make(v, w, s, m) for v, m in zip(u, u_bounds)])
 
     def to_json(self) -> list[dict]:
         """[{'n': 0, 'terms': [{'et':, 'eq':, 'num':, 'den':}, ...]}, ...]"""

@@ -224,7 +224,7 @@ def solve_F(order: int) -> Series:
     """
     _capped("F", order)
     G = 1 + (solve_H(order) - 1) * _Q
-    return (1 - (G * _T).shift_x()).inverse().truncate(order)
+    return (1 - (G * _T).shift_x()).truncate(order).inverse()
 
 
 def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
@@ -262,7 +262,7 @@ def solve_Jdepth(order: int) -> Series:
     """
     _capped("J", order)
     f = solve_catalan(order)
-    J = (1 - (f * _T).shift_x()).inverse().truncate(order)
+    J = (1 - (f * _T).shift_x()).truncate(order).inverse()
     return _self_checked(J, _theorem5_residual(J, order), "depth")
 
 

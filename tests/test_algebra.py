@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpstat.algebra import Poly2, Series, dot, fixed_point_solve
+from jumpstat import algebra
+from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta, dot,
+                              fixed_point_solve)
 from jumpstat.trees import catalan
 
 
@@ -437,6 +440,27 @@ def test_packed_inverse_matches_the_naive_recurrence(s):
     assert terms_of(series_of(s).inverse()) == naive_inverse(s)
 
 
+def _no_call(*args):
+    raise AssertionError("inverse re-packed or decoded a coefficient")
+
+
+@given(marker_sets.flatmap(lambda m: st.sampled_from([1, -1]).flatmap(
+    lambda head: kernel_series(m, head))))
+@settings(max_examples=60, deadline=None)
+def test_inverse_keeps_one_layout_with_upper_bounds(s):
+    # the layout is fixed before u_1, so every nonzero coefficient shares
+    # it, nothing grows or decodes, and each stored bound is an upper bound
+    series = series_of(s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_grown", _no_call)
+        patch.setattr(algebra, "_tight", _no_call)
+        u = series.inverse()
+    assert len({(c._w, c._s) for c in u.coefficients() if c}) == 1
+    for c in u.coefficients():
+        exact = _exact_meta(_digits(c._v, c._w), c._s)
+        assert all(map(operator.ge, c._meta, exact)), (c._meta, exact)
+
+
 @given(marker_sets.flatmap(lambda m: kernel_series(m, 1)), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_packed_sqrt_matches_the_naive_recurrence(s, square):
@@ -459,9 +483,8 @@ def test_online_solves_read_their_zero_coefficients_as_0():
 
 def test_online_solves_repack_wider_as_coefficients_grow(monkeypatch):
     # coefficients near 10^600 square at every step, so the layout chosen
-    # at x^1 is too narrow by x^3 and must be re-packed, not wrapped
-    from jumpstat import algebra
-
+    # at x^1 is too narrow by x^3 and must be re-packed, not wrapped;
+    # inverse sizes its one layout up front and never re-packs
     grown = []
     real = algebra._grown
 
@@ -475,10 +498,8 @@ def test_online_solves_repack_wider_as_coefficients_grow(monkeypatch):
     s = [{(0, 0): 1}, {(0, 0): big + 1, (1, 1): -big}, {(2, 0): big - 3},
          {(0, 3): -big}]
     assert terms_of(series_of(s).inverse()) == naive_inverse(s)
-    assert len(grown) >= 2
-    assert grown[-1][0] > grown[0][0]
+    assert grown == []
 
-    grown.clear()
     y = [{(0, 0): 1}, {(1, 0): big}, {(0, 2): -big**2 - 7}, {(1, 1): 3 * big**3}]
     assert terms_of(series_of(naive_series_mul(y, y)).sqrt()) == y
     assert len(grown) >= 2 and grown[-1][0] > grown[0][0]

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from jumpstat import genfunc
-from jumpstat.algebra import Poly2, Series
+from jumpstat.algebra import Poly2, Series, _slot_width
 from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               catalan_radical, inner_radicand,
                               jumpdist_radical, jumps_radical,
@@ -115,6 +115,17 @@ def _check_ballot_J(order: int) -> None:
 def test_solve_Jdepth_coefficients_are_ballot_numbers():
     # 200 is the order `moments jumpdist --nmax 200` solves
     _check_ballot_J(200)
+
+
+@pytest.mark.parametrize("solver, order", [
+    (solver, order) for solver in (solve_F, solve_Jdepth)
+    for order in (0, 1, 5, 32, 40)] + [(solve_Jdepth, 200)])
+def test_inverse_lays_out_F_and_J_in_catalan_slots(solver, order):
+    # F and J invert 1 - x*t*G with G >= 0 and G(x,1,1) the Catalan
+    # series, so the l1 majorant of the inverse is Cat(n) exactly and the
+    # slots are just wide enough for Cat(order): a looser majorant fails
+    width = _slot_width(catalan(order).bit_length())
+    assert {c._w for c in solver(order).coefficients() if c} == {width}
 
 
 def _check_complemented_ballot_K(order: int) -> None:
