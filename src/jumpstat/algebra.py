@@ -36,14 +36,14 @@ each factor; its slot is that bit length plus a sign bit, rounded up to
 whole bytes.  Each product checks this bound first and packs its
 operands wider when their layout is too narrow, so nothing wraps.
 ``Series.__mul__`` picks one layout for all of its products.  The online
-solves keep one layout for the whole solve.  ``inverse`` fixes it before
-the first coefficient from an l1 majorant of its recurrence, computed on
-plain ints, and never re-checks, re-packs or decodes.  ``sqrt`` and
-``fixed_point_solve`` re-check it before each coefficient from the bounds
-of one decode of each coefficient solved so far, and re-pack with room to
-grow when it would overflow.  On the radicals that ``sqrt`` solves the
-same majorant gives slots about 12 % wider than the re-checks reach, and
-a fixed-point step is opaque, so no majorant of it exists in advance.
+solves keep one layout for the whole solve.  ``inverse`` and ``sqrt`` fix
+it before the first coefficient from an l1 majorant of their recurrences,
+computed on plain ints, and never re-check or re-pack; ``sqrt`` decodes
+each coefficient once, to halve it exactly.  ``fixed_point_solve``
+re-checks it before each coefficient from the bounds of one decode of
+each coefficient solved so far, and re-packs with room to grow when it
+would overflow: a fixed-point step is opaque, so no majorant of it exists
+in advance.
 """
 
 from __future__ import annotations
@@ -238,16 +238,16 @@ class Poly2:
         return out
 
     @classmethod
-    def _packed(cls, digits: list[int], s: int) -> Poly2:
+    def _packed(cls, digits: list[int], s: int, room: int = 0) -> Poly2:
         """The polynomial with int coefficient digits[k] at t^(k // s) *
-        q^(k % s), in the narrowest slots, with its exact bounds; s must
-        exceed the q-degree."""
+        q^(k % s), in the narrowest slots with ``room`` spare bits, with
+        its exact bounds; s must exceed the q-degree."""
         end = len(digits)
         while end and not digits[end - 1]:
             end -= 1
         digits = digits[:end]
         meta = _exact_meta(digits, s)
-        w = _slot_width(max(meta[0], 0))
+        w = _slot_width(max(meta[0], 0) + room)
         return cls._make(_pack(digits, w), w, s, meta)
 
     @classmethod
@@ -536,40 +536,51 @@ class Series:
     def sqrt(self) -> Series:
         """Square root of a series with constant term exactly 1.
 
-        Coefficients come from expanding y*y = s: the x^n coefficient of
-        y*y is 2*y_n + sum(y_i * y_{n-i}, 0 < i < n), so 2*y_n is
-        s_n - sum(y_i * y_{n-i}, 0 < i < n).  Each of its terms is halved
+        J.C.P. Miller's recurrence for powers of a series (Knuth, TAOCP
+        Vol. 2, 4.7) at the power 1/2, with d the radicand's x-degree:
+        n*(2*y_n) = sum((3k - 2n) * s_k * y_(n-k), 0 < k <= min(n, d)).
+        The sum is divided by n exactly and each term of 2*y_n halved
         exactly; an odd term means the root has no integer coefficients,
         and raises ValueError naming its x-index.
+
+        The layout is fixed before y_1 from an l1 majorant, as in
+        ``inverse``: V_0 = 1 and V_n = ceil(sum(|3k - 2n| * |s_k|_1 *
+        V_(n-k)) / 2n) bound |y_n|_1, so 2 * max V_n bounds every slot of
+        every 2*y_n and, as |s_n|_1 <= 2*V_n, of every s_k; q-degrees are
+        at most n * max(qdeg(s_k) / k).  Each y_n keeps the exact bounds of
+        the one decode that halves it.
         """
         if self._coeffs[0] != 1:
             raise ValueError("sqrt needs constant term exactly 1, got "
                              f"{self._coeffs[0]}")
         order = self.order
-        y: list[Poly2] = [Poly2.one()]     # all in the layout (w, s)
-        vals: list[tuple[int, int]] = []   # y, split
-        bounds: list[tuple] = []           # of y_1 .. y_(n-1)
-        w = s = 0
+        tail = [(c._s, _digits(c._v, c._w)) for c in self._coeffs[1:]]
+        d = max((k for k, (_, dg) in enumerate(tail, 1) if dg), default=0)
+        tail = tail[:d]
+        norms = [sum(map(abs, dg)) for _, dg in tail]
+        majorant = [1]
         for n in range(1, order + 1):
-            sn = _tight(self._coeffs[n])
-            bits, terms, _, qdeg = _dot_meta(bounds, bounds[::-1])
-            if sn._v:
-                bits = max(bits, sn._meta[0]) + 1 if terms else sn._meta[0]
-                qdeg = max(qdeg, sn._meta[3])
-            if bits >= w or qdeg >= s:
-                w, s = _grown(bits, qdeg, w, s, n, order)
-                y = [_relaid(c, w, s) for c in y]
-                vals = [_split(c._v) for c in y]
-            twice = _conv(sn, w, s) - _split_dot(vals[1:n], vals[n - 1:0:-1])
+            v = sum(abs(3 * k - 2 * n) * norms[k - 1] * majorant[n - k]
+                    for k in range(1, min(n, d) + 1))
+            majorant.append(-(-v // (2 * n)))
+        w = _slot_width(max(majorant).bit_length() + 1)
+        s = max([order * _exact_meta(dg, s0)[3] // k
+                 for k, (s0, dg) in enumerate(tail, 1) if dg], default=0) + 1
+        sv = [_split(_pack(_restride(dg, s0, s), w)) for s0, dg in tail]
+        y = [Poly2._make(1, w, s, (1, 1, 0, 0))]
+        yv = [(1, 0)]   # y, split
+        for n in range(1, order + 1):
+            twice = sum(((3 * k - 2 * n) * a * b) << (za + zb)
+                        for k, (a, za), (b, zb)
+                        in zip(range(1, n + 1), sv, reversed(yv))) // n
             digits = _digits(twice, w)
             meta = _exact_meta(digits, s)
             if any(c & 1 for c in digits):
                 raise ValueError("sqrt has no integer coefficient at x^"
                                  f"{n}: ({Poly2._make(twice, w, s, meta)})/2")
-            y.append(Poly2._make(twice >> 1, w, s,
-                                 (max(meta[0] - 1, 0),) + meta[1:]))
-            vals.append(_split(twice >> 1))
-            bounds.append(y[-1]._meta)
+            half = twice >> 1
+            y.append(Poly2._make(half, w, s, (max(meta[0] - 1, 0),) + meta[1:]))
+            yv.append(_split(half))
         return Series(y)
 
     def inverse(self) -> Series:

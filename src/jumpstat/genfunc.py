@@ -81,7 +81,9 @@ class ResourceCapError(RuntimeError):
 # coefficient has about 2N bits).  Each cap was an order at which one
 # solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM; the
 # cost grows about as N^5 for F and H.  J and K, checked in linear form,
-# now take 3.7-4.2 s and 4.1-4.5 s at 400; recorded refusals name the cap.
+# now take 3.7-4.2 s and 4.1-4.5 s at 400, and H's radical no longer costs
+# about 4.7 s of its self-check at 200; the caps stay, so every recorded
+# refusal, which names its cap, stays byte-identical.
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
@@ -292,7 +294,11 @@ def solve_K(order: int) -> Series:
                     f"depth series coefficient x^{n} has a bad term "
                     f"t^{et}*q^{eq}")
             row[n - et] = v
-        coeffs.append(Poly2._packed(row, n + 1))
+        # 5 spare bits fit x^n of the theorem-6 residual, 2(q - 1)*K_n +
+        # 2*K_(n-1) + (1 - 2q) + r_n, by the width rule: 3 bits for the
+        # products, as bits(K_(n-1)) <= bits(K_n) + 1, and 1 for each sum,
+        # as r_n = -(the rest); so its products keep each K_n's layout
+        coeffs.append(Poly2._packed(row, n + 1, 5))
     K = Series(coeffs)
     return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 

@@ -441,7 +441,7 @@ def test_packed_inverse_matches_the_naive_recurrence(s):
 
 
 def _no_call(*args):
-    raise AssertionError("inverse re-packed or decoded a coefficient")
+    raise AssertionError("an online solve re-packed or decoded a coefficient")
 
 
 @given(marker_sets.flatmap(lambda m: st.sampled_from([1, -1]).flatmap(
@@ -449,16 +449,19 @@ def _no_call(*args):
 @settings(max_examples=60, deadline=None)
 def test_inverse_keeps_one_layout_with_upper_bounds(s):
     # the layout is fixed before u_1, so every nonzero coefficient shares
-    # it, nothing grows or decodes, and each stored bound is an upper bound
-    series = series_of(s)
+    # it, nothing grows or decodes, and each stored bound is an upper
+    # bound; the same holds for sqrt of the square of s
+    series, square = series_of(s), series_of(naive_series_mul(s, s))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_grown", _no_call)
-        patch.setattr(algebra, "_tight", _no_call)
+        for name in ("_grown", "_relaid", "_tight"):
+            patch.setattr(algebra, name, _no_call)
         u = series.inverse()
-    assert len({(c._w, c._s) for c in u.coefficients() if c}) == 1
-    for c in u.coefficients():
-        exact = _exact_meta(_digits(c._v, c._w), c._s)
-        assert all(map(operator.ge, c._meta, exact)), (c._meta, exact)
+        y = square.sqrt()
+    for solved in (u, y):
+        assert len({(c._w, c._s) for c in solved.coefficients() if c}) == 1
+        for c in solved.coefficients():
+            exact = _exact_meta(_digits(c._v, c._w), c._s)
+            assert all(map(operator.ge, c._meta, exact)), (c._meta, exact)
 
 
 @given(marker_sets.flatmap(lambda m: kernel_series(m, 1)), st.booleans())
@@ -484,7 +487,7 @@ def test_online_solves_read_their_zero_coefficients_as_0():
 def test_online_solves_repack_wider_as_coefficients_grow(monkeypatch):
     # coefficients near 10^600 square at every step, so the layout chosen
     # at x^1 is too narrow by x^3 and must be re-packed, not wrapped;
-    # inverse sizes its one layout up front and never re-packs
+    # inverse and sqrt size their one layout up front and never re-pack
     grown = []
     real = algebra._grown
 
@@ -502,9 +505,8 @@ def test_online_solves_repack_wider_as_coefficients_grow(monkeypatch):
 
     y = [{(0, 0): 1}, {(1, 0): big}, {(0, 2): -big**2 - 7}, {(1, 1): 3 * big**3}]
     assert terms_of(series_of(naive_series_mul(y, y)).sqrt()) == y
-    assert len(grown) >= 2 and grown[-1][0] > grown[0][0]
+    assert grown == []
 
-    grown.clear()
     solved = fixed_point_solve(
         lambda f: dot(f, f[::-1]) * (big * t + q) if f else Poly2.one(), 3)
     f = [{(0, 0): 1}]

@@ -169,9 +169,55 @@ def test_solve_F_matches_the_integer_oracle_to_order_60():
     assert _check_F_lagrange(60) == 36051
 
 
-_ORACLE_CHECKS = {"f": _check_catalan, "F": _check_F_lagrange,
-                  "H": _check_narayana_H, "J": _check_ballot_J,
-                  "K": _check_complemented_ballot_K}
+def _check_catalan_radical(order: int) -> None:
+    # [x^n] sqrt(1 - 4x) = -2 * Cat(n - 1) for n >= 1
+    root = catalan_radical(order)
+    assert root.coefficient(0) == 1
+    for n in range(1, order + 1):
+        assert root.coefficient(n) == -2 * comb(2 * n - 2, n - 1) // n, n
+
+
+def _check_jumpdist_radical(order: int) -> None:
+    # [x^n] sqrt(1 - 4qx) = -2 * Cat(n - 1) * q^n for n >= 1
+    root = jumpdist_radical(order)
+    assert root.coefficient(0) == 1
+    for n in range(1, order + 1):
+        assert root.coefficient(n) == Poly2.term(
+            -2 * comb(2 * n - 2, n - 1) // n, eq=n), n
+
+
+def _check_jumps_radical(order: int) -> None:
+    # [x^1] = -1 - q and, with the Narayana numbers N(m, k) =
+    # C(m, k) * C(m, k - 1) / m, [x^n q^k] = -2 * N(n - 1, k) for n >= 2
+    root = jumps_radical(order)
+    assert root.coefficient(0) == 1
+    if order:
+        assert root.coefficient(1) == -1 - Q
+    for n in range(2, order + 1):
+        m = n - 1
+        expected = Poly2({(0, k): -2 * comb(m, k) * comb(m, k - 1) // m
+                          for k in range(1, n)})
+        assert root.coefficient(n) == expected, n
+
+
+_RADICAL_CHECKS = {"catalan_radical": _check_catalan_radical,
+                   "jumpdist_radical": _check_jumpdist_radical,
+                   "jumps_radical": _check_jumps_radical}
+
+
+@pytest.mark.parametrize("name", list(_RADICAL_CHECKS))
+def test_radicals_match_their_integer_formulas(name):
+    _RADICAL_CHECKS[name](30)
+
+
+# each oracle and the cap it runs at: a radical at the cap of the solver
+# whose self-check takes its root
+_ORACLE_CHECKS = {"f": (_check_catalan, "f"), "F": (_check_F_lagrange, "F"),
+                  "H": (_check_narayana_H, "H"), "J": (_check_ballot_J, "J"),
+                  "K": (_check_complemented_ballot_K, "K"),
+                  "catalan_radical": (_check_catalan_radical, "f"),
+                  "jumpdist_radical": (_check_jumpdist_radical, "K"),
+                  "jumps_radical": (_check_jumps_radical, "H")}
 
 
 @pytest.mark.slow
@@ -179,7 +225,8 @@ _ORACLE_CHECKS = {"f": _check_catalan, "F": _check_F_lagrange,
 def test_every_solver_matches_its_oracle_at_its_order_cap(name):
     # the largest coefficients a solver can be asked for are where its
     # width rule and re-packing are exercised hardest
-    _ORACLE_CHECKS[name](genfunc.ORDER_CAPS[name])
+    check, cap = _ORACLE_CHECKS[name]
+    check(genfunc.ORDER_CAPS[cap])
 
 
 @pytest.mark.parametrize(
