@@ -594,7 +594,7 @@ class Series:
         largest V_n bounds every slot of every u_n and, as |s_k|_1 <= V_k,
         of every s_k.  Each u_n stores bits(V_n) and the width rule's
         term and degree bounds, so nothing is re-packed or decoded.  For
-        F and J, which invert 1 - x*t*G with G >= 0, V_n = Cat(n).
+        J, which inverts 1 - x*t*f, V_n = Cat(n).
         """
         head = self._coeffs[0]
         if head != 1 and head != -1:

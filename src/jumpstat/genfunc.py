@@ -12,8 +12,11 @@ polynomial coefficients in the markers t (rightmost-leaf depth) and q:
 The paper's equation for F has F(x,0,q) = 1, since only the leaf has
 rightmost-leaf depth 0.  Substituting that splits it in two: H solves
 the one-marker quadratic H = 1 + xH + qx(H-1)H, the shape of f = 1 + xf^2,
-and F = 1/(1 - xt*G) with G = 1 + q(H-1) is built from H exactly as
-J = 1/(1 - xt*f) is built from f.
+and F = 1/(1 - xt*G) with G = 1 + q(H-1) is built from H, as
+J = 1/(1 - xt*f) is built from f.  G is quadratic too, so the powers of
+x*G follow a three-term recurrence (the one behind the Catalan triangle
+for the powers of f), and F is summed as sum(t^d (xG)^d) from it with
+shifts and adds; J is the inverse of its series.
 
 Each series satisfies an algebraic identity with a square-root term.  The
 verifiers never divide by marker-bearing denominators: every identity is
@@ -48,7 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Poly2, Series, dot, fixed_point_solve
+from .algebra import (Poly2, Series, _pack, _slot_width, dot,
+                      fixed_point_solve)
 from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
                     brute_force_enumerator, catalan)
 
@@ -80,10 +84,13 @@ class ResourceCapError(RuntimeError):
 # N^3/6 terms for F and N^2/2 for H, J and K (N for f, whose N-th
 # coefficient has about 2N bits).  Each cap was an order at which one
 # solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM; the
-# cost grows about as N^5 for F and H.  J and K, checked in linear form,
+# cost grew about as N^5 for F and H.  J and K, checked in linear form,
 # now take 3.7-4.2 s and 4.1-4.5 s at 400, and H's radical no longer costs
-# about 4.7 s of its self-check at 200; the caps stay, so every recorded
-# refusal, which names its cap, stays byte-identical.
+# about 4.7 s of its self-check at 200.  F, summed column by column, takes
+# 0.2-0.3 s at 120 where its inverse took 15-22 s, so the cost at F's cap
+# is now its theorem-2 check, verify_F_closed_form, at 2-4 s.  The caps
+# stay, so every recorded refusal, which names its cap, stays
+# byte-identical.
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
@@ -220,13 +227,47 @@ def solve_H(order: int) -> Series:
 def solve_F(order: int) -> Series:
     """F(x,t,q) = 1 + xt*F(x,0,q)*F(x,t,q) + xtq*(F(x,1,q) - F(x,0,q))*F(x,t,q).
 
-    With F(x,0,q) = 1 and F(x,1,q) = H this is t-linear, so F is the
-    inverse of 1 - x*t*G with G = 1 + q*(H - 1): the construction of J
-    with G in place of f.
+    With F(x,0,q) = 1 and F(x,1,q) = H this is t-linear, so F = 1/(1 - t*A)
+    = sum(t^d * A^d) with A = x*G and G = 1 + q*(H - 1).  H = 1 + x*H*G
+    gives G = 1 + x*G*(G + q - 1), so A^2 = (1 - (q - 1)x)*A - x and the
+    powers of A follow A^(d+1) = A^d + x*A^d - x*q*A^d - x*A^(d-1).  The
+    columns C_d = A^d / x^d, series as A has no x^0 term, follow
+    C_(d+1) = (C_d - C_(d-1)) / x + (1 - q)*C_d from C_0 = 1 and C_1 = G.
+
+    Each column, cut at x^(N-d), is one packed int with x^m*q^j in slot
+    m*N + j, so a column costs two shifts, three adds and a mask, and no
+    multiply: the x^0 terms of C_d and C_(d-1) are both 1, so their
+    difference shifts down by N slots exactly.  Every coefficient of A^d is
+    nonnegative and at most Cat(N), which the slots hold, and none below
+    x^(N+1) reaches q^N, so x-block n - d of C_d is the t^d row of F_n.
+    Each column is copied into the rows of F as soon as it is computed;
+    F_n's int, in t-stride N, is read from its row when C_n has been.
     """
     _capped("F", order)
-    G = 1 + (solve_H(order) - 1) * _Q
-    return (1 - (G * _T).shift_x()).truncate(order).inverse()
+    H, N = solve_H(order), order
+    if not N:
+        return Series([Poly2.one()])
+    w = _slot_width(catalan(N).bit_length())
+    row, block = N * (w >> 3), N * w    # bytes and bits of one x-power
+    G = 1 + (H.truncate(N - 1) - 1) * _Q
+    digits = [0] * (N * N)
+    for m, g in enumerate(G.coefficients()):
+        for j, c in enumerate(g.q_coefficients()):
+            digits[m * N + j] = c
+    prev, col = 1, _pack(digits, w)
+    rows = [bytearray((n + 1) * row) for n in range(N + 1)]
+    F = [Poly2._make(1, w, N, (1, 1, 0, 0))]
+    for d in range(1, N + 1):
+        with memoryview(col.to_bytes((N + 1 - d) * row, "little")) as data:
+            for n in range(d, N + 1):
+                rows[n][d * row: (d + 1) * row] = \
+                    data[(n - d) * row: (n - d + 1) * row]
+        F.append(Poly2._make(int.from_bytes(rows[d], "little"), w, N,
+                             (catalan(d).bit_length(), d * d, d, d - 1)))
+        rows[d] = None
+        prev, col = col, (((col - prev) >> block) + col - (col << w)
+                          & (1 << (block * (N - d))) - 1)
+    return Series(F)
 
 
 def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:

@@ -408,6 +408,11 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     for span in ("genfunc.verify", "genfunc.solve_K", "genfunc.solve_Jdepth",
                  "genfunc.solve_catalan", "algebra.inverse", "algebra.sqrt"):
         assert trace["spans"][span]["calls"] >= 1, span
+    # the layers a traced cli-jumps run must reach through `verify 2`
+    trace = _trace(tmp_path, "verify", "2", "--order", "4")
+    for span in ("genfunc.verify", "genfunc.solve_F", "genfunc.solve_H",
+                 "algebra.fixed_point", "algebra.mul", "algebra.sqrt"):
+        assert trace["spans"][span]["calls"] >= 1, span
     # the layers of a traced cli-guess run; guess_rational must reach
     # fit_rational through its module-level name
     trace = _trace(tmp_path, "guess", "jumpdist", "--moment", "central:2",

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from math import comb
+from operator import ge
 
 import pytest
 
 from jumpstat import genfunc
-from jumpstat.algebra import Poly2, Series, _slot_width
+from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta,
+                              _slot_width)
 from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               catalan_radical, inner_radicand,
                               jumpdist_radical, jumps_radical,
@@ -121,11 +123,45 @@ def test_solve_Jdepth_coefficients_are_ballot_numbers():
     (solver, order) for solver in (solve_F, solve_Jdepth)
     for order in (0, 1, 5, 32, 40)] + [(solve_Jdepth, 200)])
 def test_inverse_lays_out_F_and_J_in_catalan_slots(solver, order):
-    # F and J invert 1 - x*t*G with G >= 0 and G(x,1,1) the Catalan
-    # series, so the l1 majorant of the inverse is Cat(n) exactly and the
-    # slots are just wide enough for Cat(order): a looser majorant fails
+    # J inverts 1 - x*t*f, so the l1 majorant of the inverse is Cat(n)
+    # exactly; F sums the powers of x*G, whose coefficients are at most
+    # Cat(order).  Both lay their slots just wide enough for Cat(order):
+    # a looser majorant or bound fails
     width = _slot_width(catalan(order).bit_length())
     assert {c._w for c in solver(order).coefficients() if c} == {width}
+
+
+def _F_by_inverse(H: Series) -> Series:
+    # F = 1/(1 - x*t*G) with G = 1 + q*(H - 1), by Series.inverse
+    G = 1 + (H - 1) * Q
+    return (1 - (G * T).shift_x()).truncate(H.order).inverse()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 32, 40])
+def test_solve_F_matches_the_inverse_of_one_minus_xtG(order):
+    # term for term, and each stored bound is an upper bound
+    F, reference = solve_F(order), _F_by_inverse(solve_H(order))
+    for n in range(order + 1):
+        c = F.coefficient(n)
+        assert c == reference.coefficient(n), n
+        exact = _exact_meta(_digits(c._v, c._w), c._s)
+        assert all(map(ge, c._meta, exact)), (n, c._meta, exact)
+
+
+def test_a_corrupt_H_fails_both_F_constructions_at_the_same_index(monkeypatch):
+    # G reaches F one power of x later, so a term added to H at x^b makes
+    # F fail theorem 2 at x^(b + 1), and one at the order never shows
+    order = 20
+    H = solve_H(order)
+    for b in range(order + 1):
+        bad = H + Series.from_x_coefficients([0] * b + [1], order)
+        monkeypatch.setattr(genfunc, "solve_H", lambda _: bad)
+        for F in (solve_F.__wrapped__(order), _F_by_inverse(bad)):
+            verdict = verify_F_closed_form(order, F)
+            if b < order:
+                assert verdict.first_failure.n == b + 1, b
+            else:
+                assert verdict.passed
 
 
 def _check_complemented_ballot_K(order: int) -> None:
