@@ -14,15 +14,16 @@ step by step (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 ``RationalFunctionN`` runs it too.
 
 * ``fit_rational`` fits one degree pair: the first Euclidean step with
-  deg r_j <= deg_num gives the fit mod each prime; the Chinese remainder
-  theorem and rational reconstruction lift it to the rationals.  Nothing
-  is returned on trust.  A prime where no fit exists proves that none
-  exists over the rationals (reduction can only lose rank), and a lifted
-  candidate that reproduces every point exactly proves itself and fixes
-  the dimension of the solution space.  When neither certificate comes
-  (a pole or a cancellation at a sample point, an unlucky prime,
-  coefficients too wide for the primes), a fraction-free (Bareiss)
-  elimination over the integers decides.
+  deg r_j <= deg_num gives the fits mod each prime; the Chinese remainder
+  theorem and rational reconstruction lift it to the rationals, over as
+  many primes below 2^61 as it takes.  Nothing is returned on trust.
+  Every answer has one of three certificates: a prime with no fit
+  (reduction can only lose rank, so there is none over the rationals); a
+  lifted candidate that reproduces every point, which proves itself and
+  fixes the dimension of the solution space; or a lifted pair that solves
+  the linear system while its reduced form misses a point (a pole or a
+  cancellation there), which fixes that dimension.  Only finitely many
+  primes are unlucky, so one of the three always comes.
 * ``guess_rational`` screens its degree pairs first, modulo the prime
   2^61 - 1: the degrees of the Euclidean steps give the nullity mod p of
   the fit matrix at every degree pair at once.  Nullity 0 mod p forces
@@ -50,9 +51,9 @@ DEFAULT_HOLDOUT = 5
 DEFAULT_MAX_TOTAL_DEGREE = 24
 
 _SCREEN_PRIME = (1 << 61) - 1
-# the eight largest primes below 2^61, the screen's prime first
-_LIFT_PRIMES = (_SCREEN_PRIME, *((1 << 61) - d
-                                 for d in (31, 45, 229, 259, 283, 339, 391)))
+# the primes below 2^61 in decreasing order, as far as ``_lift_primes``
+# has been asked for them in this process
+_PRIMES = [_SCREEN_PRIME]
 
 
 class FitError(Exception):
@@ -240,75 +241,7 @@ def _render_poly(coeffs: Sequence[int]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-# --- exact nullspace ---------------------------------------------------------
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form; returns (matrix, pivot columns).
-
-    Entries stay integers: the Bareiss two-step condensation divides each
-    update exactly by the previous pivot.
-    """
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    u = len(mat[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(u):
-        pr = next((i for i in range(r, m) if mat[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, m):
-            row_i = mat[i]
-            mic = row_i[c]
-            row_r = mat[r]
-            for j in range(c + 1, u):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return mat, pivots
-
-
-def _nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of an integer matrix."""
-    mat, pivots = _bareiss_echelon(rows)
-    u = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in (c for c in range(u) if c not in pivot_set):
-        v = [Fraction(0)] * u
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = mat[r]
-            s = Fraction(0)
-            for j in range(pc + 1, u):
-                if v[j]:
-                    s += row[j] * v[j]
-            v[pc] = -s / row[pc]
-        basis.append(v)
-    return basis
-
-
-def _fit_rows(pts: Sequence[tuple[int, Fraction]], deg_num: int,
-              deg_den: int) -> list[list[int]]:
-    """Integer matrix of p(n_i) * den(a_i) - q(n_i) * num(a_i) = 0 in the
-    coefficients of p (degree <= deg_num) then q (degree <= deg_den)."""
-    rows = []
-    for n, a in pts:
-        powers = [n ** j for j in range(max(deg_num, deg_den) + 1)]
-        row = [a.denominator * powers[j] for j in range(deg_num + 1)]
-        row += [-a.numerator * powers[j] for j in range(deg_den + 1)]
-        rows.append(row)
-    return rows
-
+# --- exact fitting modulo primes --------------------------------------------
 
 def _euclid_mod_p(r0: list[int], r1: list[int], p: int
                   ) -> Iterator[tuple[list[int], list[int]]]:
@@ -445,6 +378,44 @@ def _rational_reconstruction(residues: list[int], modulus: int
     return out
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _lift_primes() -> Iterator[int]:
+    """The primes below 2^61 in decreasing order, the screen's prime
+    first; each is searched for once per process."""
+    k = 0
+    while True:
+        if k == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[k]
+        k += 1
+
+
 def _first_miss(candidate: RationalFunctionN,
                 pts: Sequence[tuple[int, Fraction]]) -> int | None:
     """The first sample point the candidate does not reproduce exactly,
@@ -454,64 +425,6 @@ def _first_miss(candidate: RationalFunctionN,
         if (den == 0 or _poly_eval(candidate.numerator, n) * a.denominator
                 != a.numerator * den):
             return n
-    return None
-
-
-def _lifted_fit(pts: Sequence[tuple[int, Fraction]], deg_num: int,
-                deg_den: int) -> RationalFunctionN | None:
-    """The certified fit at (deg_num, deg_den) from the Euclidean pair mod
-    each prime of ``_LIFT_PRIMES``, or None when no certificate comes.
-
-    Raises NoFitError when one prime has no fit: its nullity bounds the
-    exact one from above.  A reconstructed candidate rho/tau (reduced,
-    degrees within the caps) that reproduces every point makes
-    P * tau - Q * rho vanish at more points than its degree for every fit
-    (P, Q), so the fits are exactly c * (rho, tau); two or more
-    independent ones raise AmbiguousFitError.  A candidate that fails and
-    comes back unchanged from one more prime is taken for the Euclidean
-    pair over the rationals, with a pole or a cancellation at a sample
-    point: None then, as when the primes run out or two of them disagree
-    on the degrees, and the caller's elimination decides.
-    """
-    shape = None
-    modulus = 1
-    lifted: list[int] = []
-    last = None
-    for p in _LIFT_PRIMES:
-        interpolation = _interpolation_mod_p(pts, p)
-        if interpolation is None:
-            continue
-        # the first step with deg r_j <= deg_num, divided by the leading
-        # coefficient of t_j, so that every prime where the degrees agree
-        # gives the image of the same rational pair
-        r, t = next(step for step in _euclid_mod_p(*interpolation, p)
-                    if len(step[0]) - 1 <= deg_num)
-        inv = pow(t[-1], -1, p)
-        r, t = [c * inv % p for c in r], [c * inv % p for c in t]
-        if _nullity(len(r) - 1, len(t) - 1, deg_num, deg_den) == 0:
-            raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
-        if shape is None:
-            shape = (len(r), len(t))
-            lifted = [0] * (len(r) + len(t))
-        elif shape != (len(r), len(t)):
-            return None
-        inv = pow(modulus, -1, p)
-        lifted = [x + modulus * ((y - x) * inv % p)
-                  for x, y in zip(lifted, r + t)]
-        modulus *= p
-        coeffs = _rational_reconstruction(lifted, modulus)
-        if coeffs is None:
-            continue
-        if coeffs == last:
-            return None
-        last = coeffs
-        candidate = RationalFunctionN(coeffs[:len(r)], coeffs[len(r):])
-        if _first_miss(candidate, pts) is None:
-            nullity = _nullity(*candidate.degrees(), deg_num, deg_den)
-            if nullity > 1:
-                raise AmbiguousFitError(f"{nullity} independent fits at "
-                                        f"degrees ({deg_num}, {deg_den})")
-            return candidate
     return None
 
 
@@ -531,12 +444,45 @@ def fit_rational(points: Iterable, deg_num: int,
                  deg_den: int) -> RationalFunctionN:
     """Fit one rational function of exactly bounded degrees.
 
-    Raises NoFitError when the nullspace is trivial (or a candidate fails
-    to reproduce a point), AmbiguousFitError when the solution space has
-    dimension above one.  Every answer is certified exactly: by the
-    modular lift of ``_lifted_fit`` when it gives a certificate, else by
-    the Bareiss elimination, whose unique candidate is re-verified
-    against every input point before being returned.
+    The fits are the pairs (P, Q) of degrees at most (deg_num, deg_den)
+    with P(n_i) = a_i * Q(n_i) at every point.  Raises NoFitError when
+    there is none, or when there is one up to a constant factor but its
+    reduced form fails to reproduce a point (a pole or a cancellation
+    there); AmbiguousFitError when they span more than one dimension.
+
+    Mod a prime p the fits are the multiples c * (r, t) of the first
+    Euclidean step with deg r <= deg_num, so the shape (deg r, deg t)
+    gives their dimension, the nullity mod p, which is at least the
+    exact one.  The primes below 2^61 are taken in decreasing order,
+    skipping those where the values have no interpolant:
+
+    * nullity 0 at any prime proves that there is no fit;
+    * a prime whose nullity is above the current shape's is skipped, and
+      one of another shape and no larger nullity restarts the lift;
+    * otherwise (r, t) / lc(t) joins the lift by the Chinese remainder
+      theorem, and at 1, 2, 4, 8, ... primes of the shape, rational
+      reconstruction proposes a pair over the rationals.  If its reduced
+      form rho/tau reproduces every point, then P * tau - Q * rho
+      vanishes at more points than its degree for every fit (P, Q), so
+      the fits are exactly the multiples of (rho, tau).  Otherwise, if
+      the pair itself solves the linear system, its multiples are as
+      many independent fits as the nullity mod p, which is then exact.
+      A pair that does neither takes another prime.
+
+    This ends.  If there is no fit, every prime that divides neither a
+    fixed nonzero maximal minor of the system, nor a value's denominator,
+    nor the difference of two points has nullity 0.  If there is one, let
+    (R, T) be the first Euclidean step over the rationals with
+    deg R <= deg_num, T monic.  A prime that also divides neither a fixed
+    nonzero minor of the system's rank, nor a denominator in R and T, nor
+    the numerator of R's leading coefficient keeps the rank, so the fits
+    mod p are spanned by the images of n^k * (R, T); their first step is
+    the image of (R, T), of the same shape, with the least nullity any
+    prime can have.  Only finitely many primes are unlucky.  After the
+    last one the lift restarts at most once and then gathers images of
+    (R, T) alone.  Reconstruction returns (R, T), which solves the
+    system, at the first power-of-two count of those primes whose product
+    exceeds twice the square of every numerator and denominator in it.
     """
     if deg_num < 0 or deg_den < 0:
         raise ValueError("degrees must be >= 0")
@@ -546,25 +492,50 @@ def fit_rational(points: Iterable, deg_num: int,
         raise ValueError(
             f"need at least {u} points for degrees ({deg_num}, {deg_den}), "
             f"got {len(pts)}")
-    candidate = _lifted_fit(pts, deg_num, deg_den)
-    if candidate is not None:
+    shape = None
+    for p in _lift_primes():
+        interpolation = _interpolation_mod_p(pts, p)
+        if interpolation is None:
+            continue
+        r, t = next(step for step in _euclid_mod_p(*interpolation, p)
+                    if len(step[0]) - 1 <= deg_num)
+        nullity = _nullity(len(r) - 1, len(t) - 1, deg_num, deg_den)
+        if nullity == 0:
+            raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
+        if shape != (len(r), len(t)):
+            if shape is not None and nullity > shape_nullity:
+                continue
+            shape, shape_nullity = (len(r), len(t)), nullity
+            modulus, count, lifted = 1, 0, [0] * (len(r) + len(t))
+        inv, inv_modulus = pow(t[-1], -1, p), pow(modulus, -1, p)
+        lifted = [x + modulus * ((y * inv - x) * inv_modulus % p)
+                  for x, y in zip(lifted, r + t)]
+        modulus *= p
+        count += 1
+        if count & (count - 1):
+            continue
+        coeffs = _rational_reconstruction(lifted, modulus)
+        if coeffs is None:
+            continue
+        num, den = coeffs[:len(r)], coeffs[len(r):]
+        candidate = RationalFunctionN(num, den)
+        miss = _first_miss(candidate, pts)
+        if miss is None:
+            nullity = _nullity(*candidate.degrees(), deg_num, deg_den)
+        else:
+            # a pair that solves the linear system makes the nullity mod p
+            # exact
+            inum, iden = _cleared(num, den)
+            if any(_poly_eval(inum, n) * a.denominator
+                   != a.numerator * _poly_eval(iden, n) for n, a in pts):
+                continue
+        if nullity > 1:
+            raise AmbiguousFitError(f"{nullity} independent fits at "
+                                    f"degrees ({deg_num}, {deg_den})")
+        if miss is not None:
+            raise NoFitError(
+                f"candidate fails to reproduce the point n={miss}")
         return candidate
-    basis = _nullspace(_fit_rows(pts, deg_num, deg_den))
-    if not basis:
-        raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
-    if len(basis) > 1:
-        raise AmbiguousFitError(
-            f"{len(basis)} independent fits at degrees ({deg_num}, {deg_den})")
-    vec = basis[0]
-    num = vec[: deg_num + 1]
-    den = vec[deg_num + 1:]
-    if not _strip(den):
-        raise NoFitError("solution has a zero denominator polynomial")
-    candidate = RationalFunctionN(num, den)
-    miss = _first_miss(candidate, pts)
-    if miss is not None:
-        raise NoFitError(f"candidate fails to reproduce the point n={miss}")
-    return candidate
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
+from typing import Sequence
 from unittest import mock
 
 import pytest
@@ -11,13 +14,14 @@ from hypothesis import strategies as st
 from jumpstat import guess
 from jumpstat.guess import (AmbiguousFitError, FitError, GuessError, Limit,
                             NoFitError, RationalFunctionN, _clean_points,
-                            _fit_rows, _nullity_mod_p, _nullspace,
-                            _reconstruction_steps, fit_rational,
+                            _first_miss, _nullity_mod_p,
+                            _reconstruction_steps, _strip, fit_rational,
                             guess_rational)
 from jumpstat.moments import moment_table
 
 F = Fraction
 P = (1 << 61) - 1
+P2 = (1 << 61) - 31   # the second largest prime below 2^61
 
 MEAN_POINTS = [(n, F(n - 1, 2)) for n in range(1, 9)]
 
@@ -80,6 +84,105 @@ def test_limit_three_ways():
     assert Limit("zero", F(0)).to_json() == {"kind": "zero", "value": "0"}
 
 
+# --- the reference: fraction-free elimination over the integers --------------
+
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form; returns (matrix, pivot columns).
+
+    Entries stay integers: the Bareiss two-step condensation divides each
+    update exactly by the previous pivot.
+    """
+    mat = [row[:] for row in rows]
+    m = len(mat)
+    u = len(mat[0])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(u):
+        pr = next((i for i in range(r, m) if mat[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+        piv = mat[r][c]
+        for i in range(r + 1, m):
+            row_i = mat[i]
+            mic = row_i[c]
+            row_r = mat[r]
+            for j in range(c + 1, u):
+                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return mat, pivots
+
+
+def _nullspace(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of an integer matrix."""
+    mat, pivots = _bareiss_echelon(rows)
+    u = len(rows[0])
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(u) if c not in pivot_set):
+        v = [Fraction(0)] * u
+        v[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            row = mat[r]
+            s = Fraction(0)
+            for j in range(pc + 1, u):
+                if v[j]:
+                    s += row[j] * v[j]
+            v[pc] = -s / row[pc]
+        basis.append(v)
+    return basis
+
+
+def _fit_rows(pts: Sequence[tuple[int, Fraction]], deg_num: int,
+              deg_den: int) -> list[list[int]]:
+    """Integer matrix of p(n_i) * den(a_i) - q(n_i) * num(a_i) = 0 in the
+    coefficients of p (degree <= deg_num) then q (degree <= deg_den)."""
+    rows = []
+    for n, a in pts:
+        powers = [n ** j for j in range(max(deg_num, deg_den) + 1)]
+        row = [a.denominator * powers[j] for j in range(deg_num + 1)]
+        row += [-a.numerator * powers[j] for j in range(deg_den + 1)]
+        rows.append(row)
+    return rows
+
+
+def _eliminated_fit(pts: list[tuple[int, Fraction]], deg_num: int,
+                   deg_den: int) -> RationalFunctionN:
+    """The fit at (deg_num, deg_den) from the nullspace of the fit matrix,
+    for cleaned points: the reference of ``fit_rational``'s lift."""
+    basis = _nullspace(_fit_rows(pts, deg_num, deg_den))
+    if not basis:
+        raise NoFitError(f"no fit at degrees ({deg_num}, {deg_den})")
+    if len(basis) > 1:
+        raise AmbiguousFitError(
+            f"{len(basis)} independent fits at degrees ({deg_num}, {deg_den})")
+    vec = basis[0]
+    num = vec[: deg_num + 1]
+    den = vec[deg_num + 1:]
+    if not _strip(den):
+        raise NoFitError("solution has a zero denominator polynomial")
+    candidate = RationalFunctionN(num, den)
+    miss = _first_miss(candidate, pts)
+    if miss is not None:
+        raise NoFitError(f"candidate fails to reproduce the point n={miss}")
+    return candidate
+
+
+def _outcome(fit, pts, dn, dd):
+    try:
+        return fit(pts, dn, dd)
+    except FitError as exc:
+        return type(exc), str(exc)
+
+
 # --- fitting at fixed degrees -------------------------------------------------
 
 def test_fit_recovers_linear_over_constant():
@@ -108,7 +211,7 @@ def test_no_fit_for_non_rational_data():
     primes = [(1, 2), (2, 3), (3, 5), (4, 7), (5, 11), (6, 13)]
     with pytest.raises(NoFitError):
         fit_rational(primes, 1, 0)
-    # the exact elimination alone, without the mod-p screen, agrees
+    # the reference elimination agrees
     assert _nullspace([[1, n, -a] for n, a in primes]) == []
 
 
@@ -142,42 +245,62 @@ def test_candidate_reproduction_guard_catches_cancellation():
 
 
 @pytest.fixture
-def eliminations(monkeypatch):
-    """The row counts of the Bareiss eliminations run while the test runs."""
-    calls = []
-    eliminate = guess._nullspace
+def lift_primes(monkeypatch):
+    """The primes at which values are interpolated while the test runs."""
+    primes = []
+    interpolate = guess._interpolation_mod_p
 
-    def counted(rows):
-        calls.append(len(rows))
-        return eliminate(rows)
+    def counted(pts, p):
+        primes.append(p)
+        return interpolate(pts, p)
 
-    monkeypatch.setattr(guess, "_nullspace", counted)
-    return calls
+    monkeypatch.setattr(guess, "_interpolation_mod_p", counted)
+    return primes
 
 
 @pytest.mark.parametrize("case", [
     test_reduced_candidate_with_a_pole_at_a_fit_point_is_refused,
     test_candidate_reproduction_guard_catches_cancellation])
-def test_pole_and_cancellation_are_decided_by_the_elimination(eliminations,
-                                                              case):
+def test_pole_and_cancellation_are_decided_by_the_lift(lift_primes, case):
+    # the first prime's pair solves the linear system: no other is needed
     case()
-    assert len(eliminations) == 1
+    assert lift_primes == [P]
 
 
-def test_coefficients_wider_than_the_primes_fall_back(eliminations):
-    # 8 primes of 61 bits lift coefficients of up to about 244 bits
-    rf = RationalFunctionN((3 ** 200, 1), (5 ** 130, 7))
-    points = [(n, rf.evaluate(n)) for n in range(1, 6)]
-    assert fit_rational(points, 1, 1) == rf
-    assert eliminations == [5]
+@pytest.mark.parametrize("rf, degrees, primes", [
+    # eight 61-bit primes reconstruct up to about 244 bits; this takes 11,
+    # and reconstruction is tried at 8, then 16
+    (RationalFunctionN((3 ** 200, 1), (5 ** 130, 7)), (1, 1), 16),
+    # 3^2000 takes 104 primes; reconstruction is tried at 64, then 128
+    (RationalFunctionN((3 ** 2000, 1, 5 ** 900), (1, 5 ** 1300, 1)), (2, 2),
+     128)], ids=["hundreds-of-bits", "thousands-of-bits"])
+def test_coefficients_wider_than_eight_primes_are_lifted(lift_primes, rf,
+                                                         degrees, primes):
+    pts = [(n, rf.evaluate(n)) for n in range(1, sum(degrees) + 3)]
+    assert fit_rational(pts, *degrees) == _eliminated_fit(pts, *degrees) == rf
+    assert lift_primes == list(islice(guess._lift_primes(), primes))
 
 
-def test_the_largest_paper_fit_needs_no_elimination(monkeypatch):
+@pytest.mark.parametrize("rf, degrees, primes", [
+    # every value is 1 mod P, where the constant 1 fits and the monic
+    # denominator n + 1/P has no image; P2 has another shape and no
+    # larger nullity, so the lift restarts there and takes four primes
+    (RationalFunctionN((1,), (1, P)), (0, 1), 5),
+    # the same at (1, 1), where P has nullity 2 and P2 nullity 1
+    (RationalFunctionN((0, 1), (P * 3 ** 100, 1)), (1, 1), 9),
+    # here P2 has nullity 2 and is left out: P and P3..P9 are lifted
+    (RationalFunctionN((0, 1), (P2 * 3 ** 100, 1)), (1, 1), 9)],
+    ids=["restart-at-equal-nullity", "restart-at-lower-nullity",
+         "higher-nullity-skipped"])
+def test_unlucky_primes_are_left_out_of_the_lift(lift_primes, rf, degrees,
+                                                  primes):
+    pts = [(n, rf.evaluate(n)) for n in range(1, 8)]
+    assert fit_rational(pts, *degrees) == _eliminated_fit(pts, *degrees) == rf
+    assert lift_primes == list(islice(guess._lift_primes(), primes))
+
+
+def test_the_largest_paper_fit_needs_no_elimination():
     # the jump-distance central moment of order 10 is of degrees (19, 19)
-    def never(rows):
-        raise AssertionError("fit_rational ran the Bareiss elimination")
-
-    monkeypatch.setattr(guess, "_nullspace", never)
     table = moment_table("jumpdist", max_moment=10, n_max=60)
     points = [(n, table.row(n).central_moment(10)) for n in range(2, 61)]
     rf = fit_rational(points[:54], 19, 19)
@@ -185,37 +308,16 @@ def test_the_largest_paper_fit_needs_no_elimination(monkeypatch):
     assert all(rf.evaluate(n) == a for n, a in points[54:])
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: these bases decide every n < 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def test_lift_primes_are_distinct_61_bit_primes_screen_prime_first():
-    primes = guess._LIFT_PRIMES
-    assert primes[0] == guess._SCREEN_PRIME == P
-    assert len(set(primes)) == len(primes)
-    assert all(p < 1 << 61 and _is_prime(p) for p in primes)
+    # the eight largest primes below 2^61
+    assert list(islice(guess._lift_primes(), 8)) == [
+        P, *((1 << 61) - d for d in (31, 45, 229, 259, 283, 339, 391))]
+    assert guess._SCREEN_PRIME == P
     # a Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
-    assert not any(map(_is_prime, (561, 3215031751, (1 << 61) + 1)))
+    assert not any(map(guess._is_prime, (561, 3215031751, (1 << 61) + 1)))
+    assert [n for n in range(2000) if guess._is_prime(n)] == [
+        n for n in range(2, 2000)
+        if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
 def test_fit_input_validation():
@@ -519,21 +621,12 @@ def test_every_euclidean_step_is_a_congruence_with_lemma_degrees(points):
         previous = r
 
 
-def _fit_outcome(pts, dn, dd):
-    try:
-        return fit_rational(pts, dn, dd)
-    except FitError as exc:
-        return type(exc), str(exc)
-
-
 @given(point_sets())
 def test_lifted_fit_agrees_with_the_elimination_at_every_degree_pair(points):
     pts = _clean_points(points)
     pairs = _admissible_pairs(len(pts))
-    lifted = [_fit_outcome(pts, dn, dd) for dn, dd in pairs]
-    with mock.patch.object(guess, "_LIFT_PRIMES", ()):
-        eliminated = [_fit_outcome(pts, dn, dd) for dn, dd in pairs]
-    assert lifted == eliminated
+    assert [_outcome(fit_rational, pts, dn, dd) for dn, dd in pairs] == \
+        [_outcome(_eliminated_fit, pts, dn, dd) for dn, dd in pairs]
 
 
 def _poly_mul(a, b):
@@ -563,7 +656,7 @@ def test_planted_common_factors_divide_out_as_with_the_fraction_gcd(
         RationalFunctionN(num, den)
 
 
-# --- when the screen does not apply, the exact elimination decides -----------
+# --- when the screen does not apply, the lift takes the next prime -----------
 
 def test_value_with_denominator_divisible_by_p_falls_back():
     rf = RationalFunctionN((1,), (0, 1))   # 1/n: its value at n = -P is -1/P
@@ -589,6 +682,23 @@ def test_sample_points_congruent_mod_p_fall_back():
         guess_rational(points, holdout=3, max_total_degree=2)
     assert exc.value.attempted == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
                                    (0, 2)]
+
+
+@pytest.mark.parametrize("rf, n, degrees", [
+    # 1 - P * P2 is congruent to the sample point 1 mod both primes
+    (RationalFunctionN((-1, 0, 1), (-4, 8)), 1 - P * P2, (2, 1)),
+    # the value -1/(P * P2) has no image mod either prime
+    (RationalFunctionN((1,), (0, 1)), -P * P2, (0, 1))],
+    ids=["congruent-points", "value-denominator"])
+def test_two_primes_without_an_interpolant_are_skipped(lift_primes, rf, n,
+                                                       degrees):
+    pts = _clean_points([(n, rf.evaluate(n))]
+                        + [(k, rf.evaluate(k)) for k in range(1, 10)])
+    assert fit_rational(pts, *degrees) == _eliminated_fit(pts, *degrees) == rf
+    assert lift_primes == list(islice(guess._lift_primes(), 3))
+    pairs = _admissible_pairs(len(pts))
+    assert [_outcome(fit_rational, pts, dn, dd) for dn, dd in pairs] == \
+        [_outcome(_eliminated_fit, pts, dn, dd) for dn, dd in pairs]
 
 
 @settings(max_examples=40)
