@@ -87,8 +87,9 @@ class ResourceCapError(RuntimeError):
 # cost grew about as N^5 for F and H.  J and K, checked in linear form,
 # now take 3.7-4.2 s and 4.1-4.5 s at 400, and H's radical no longer costs
 # about 4.7 s of its self-check at 200.  F, summed column by column, takes
-# 0.2-0.3 s at 120 where its inverse took 15-22 s, so the cost at F's cap
-# is now its theorem-2 check, verify_F_closed_form, at 2-4 s.  The caps
+# 0.2-0.3 s at 120 where its inverse took 15-22 s, and its theorem-2 check,
+# verify_F_closed_form, 0.29-0.34 s there, where it took 2.6-2.8 s before
+# its products by the literal factors became shifted adds.  The caps
 # stay, so every recorded refusal, which names its cap, stays
 # byte-identical.
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}

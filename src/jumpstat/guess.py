@@ -298,22 +298,28 @@ def _interpolation_mod_p(pts: Sequence[tuple[int, Fraction]], p: int
     congruent mod p: the values then define no interpolant mod p.
     """
     xs = [n % p for n, _ in pts]
-    if len(set(xs)) < len(xs) or any(a.denominator % p == 0 for _, a in pts):
+    dens = [a.denominator % p for _, a in pts]
+    if len(set(xs)) < len(xs) or not all(dens):
         return None
     # Newton form: after each point, M is the product over the points so
     # far and A interpolates them; the next point adds a multiple of M.
     # A keeps deg M coefficients (leading zeros too) and M is monic, so
-    # one Horner loop evaluates both
-    big_m, interp = [1], []
-    for (_, a), x in zip(pts, xs):
+    # one Horner loop evaluates both.  A is held as D*A, so that the one
+    # division is by D at the end: for a value num/den,
+    # A + ((num/den - A(x)) / M(x)) * M is
+    # (f*(D*A) + (num*D - den*(D*A)(x)) * M) / (D*f) with f = den*M(x)
+    big_m, interp, d = [1], [], 1
+    for x, num, den in zip(xs, [a.numerator % p for _, a in pts], dens):
         at_x, m_at_x = 0, 1
         for c, b in zip(reversed(interp), reversed(big_m[:-1])):
             at_x = (at_x * x + c) % p
             m_at_x = (m_at_x * x + b) % p
-        scale = ((a.numerator - at_x * a.denominator)
-                 * pow(a.denominator * m_at_x, -1, p) % p)
-        interp = [(c + scale * b) % p for c, b in zip([*interp, 0], big_m)]
+        f, g = den * m_at_x % p, (num * d - at_x * den) % p
+        interp = [(c * f + g * b) % p for c, b in zip([*interp, 0], big_m)]
+        d = d * f % p
         big_m = [(lo - x * hi) % p for lo, hi in zip([0, *big_m], [*big_m, 0])]
+    inv = pow(d, -1, p)
+    interp = [c * inv % p for c in interp]
     while interp and not interp[-1]:
         interp.pop()
     return big_m, interp

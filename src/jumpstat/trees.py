@@ -29,7 +29,10 @@ the rules once per tree to its children's statistics (``_compose``):
 * The brute-force series enumerators, the oracles for the solvers, build
   no trees: for each size below the top one they keep a level of compact
   records, one int per tree, and compose each record of the next size from
-  a left and a right record.  The top size streams into its counts.
+  a left and a right record, as the right record plus an offset that
+  depends on the left record alone.  Each offset is composed once per
+  distinct left record; every tree still gets its own record, and no
+  multiplicity is counted.  The top size streams into its counts.
 
 Everything here is iterative with explicit stacks; trees hundreds of
 thousands of vertices deep parse, format, and measure without touching the
@@ -327,12 +330,15 @@ def _unpack(n: int, record: int) -> TreeStats:
 
 def _level_records(n: int, levels: list[array]) -> Iterator[int]:
     """One record per tree of size n, composed from the stored levels[k],
-    k < n: the record of ``[L,R]`` is R's record plus that of ``[L,.]``."""
+    k < n: the record of ``[L,R]`` is R's record plus the offset of L, the
+    record of ``[L,.]``.  The offset depends on L's record alone, so it is
+    composed once per distinct record of each left size."""
     if n == 0:
         return iter((_pack(_LEAF_STATS),))
+    offsets = [{left: _pack(_compose(_unpack(i, left), _LEAF_STATS))
+                for left in set(levels[i])} for i in range(n)]
     return chain.from_iterable(
-        map(_pack(_compose(_unpack(i, left), _LEAF_STATS)).__add__,
-            levels[n - 1 - i])
+        map(offsets[i][left].__add__, levels[n - 1 - i])
         for i in range(n) for left in levels[i])
 
 
@@ -366,7 +372,8 @@ def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Se
     measured against.  Still one record per tree, composed from its
     children's records by the enumeration's rules; the records of each
     smaller size are memoized, so no tree is built and no subtree walked
-    twice.
+    twice, and the left record's part of the composition is done once per
+    distinct left record.
     """
     return _weight_enumerator(n_max, cap, lambda st: (st.depth, st.jumps))
 

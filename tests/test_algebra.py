@@ -424,6 +424,45 @@ def test_packed_scalar_product_matches_the_naive_product(p, c):
     assert dict((c * Poly2(p)).items()) == expected
 
 
+def widened(p):
+    """p re-laid by a sum: wider slots and a longer t-stride, and two more
+    terms in its stored bound."""
+    pad = Poly2({(0, 20): 2**2100})
+    return p + pad - pad
+
+
+many_terms = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), kernel_coeffs.filter(bool),
+    min_size=17, max_size=40)
+few_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.one_of(small, huge).filter(bool), min_size=1, max_size=4)
+
+
+@given(many_terms, few_terms, st.sampled_from(["neither", "many", "few"]))
+@settings(max_examples=40, deadline=None)
+def test_literal_factor_products_match_the_naive_product(many, few, widen):
+    # a factor of at most _FEW_TERMS terms times one of at least
+    # _MANY_TERMS takes the shifted adds, in either operand order
+    big, lit = Poly2(many), Poly2(few)
+    if widen == "many":
+        big = widened(big)
+    elif widen == "few" and len(few) <= 2:   # its bound stays at most 4
+        lit = widened(lit)
+    assert lit._meta[1] <= algebra._FEW_TERMS
+    assert big._meta[1] >= algebra._MANY_TERMS
+    expected = naive_mul(many, few)
+    products = [(dot([big], [lit]), expected), (dot([lit], [big]), expected),
+                (big * lit, expected), (lit * big, expected),
+                (dot([big, lit, lit], [lit, big, lit]),
+                 naive_dot([many, few, few], [few, many, few]))]
+    for product, value in products:
+        assert dict(product.items()) == value
+        exact = _exact_meta(_digits(product._v, product._w), product._s)
+        assert all(map(operator.ge, product._meta, exact)), (product._meta,
+                                                             exact)
+
+
 @given(st.tuples(marker_sets, marker_sets).flatmap(
     lambda ms: st.tuples(kernel_series(ms[0]), kernel_series(ms[1]))))
 @settings(max_examples=60, deadline=None)

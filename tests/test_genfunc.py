@@ -265,6 +265,14 @@ def test_every_solver_matches_its_oracle_at_its_order_cap(name):
     check(genfunc.ORDER_CAPS[cap])
 
 
+@pytest.mark.slow
+def test_F_satisfies_its_closed_form_at_its_order_cap():
+    # theorem 2's residual multiplies every F_n, the widest coefficients of
+    # any series, by the literal factors of _linear_residual
+    order = genfunc.ORDER_CAPS["F"]
+    assert verify_theorem("2", order) == Verdict("2", order, True)
+
+
 @pytest.mark.parametrize(
     "solver", [solve_catalan, solve_F, solve_H, solve_Jdepth, solve_K])
 def test_solver_coefficients_are_ints(solver):
