@@ -313,11 +313,11 @@ class Poly2:
 
     def degree_t(self) -> int:
         """Largest t-exponent, or -1 for the zero polynomial."""
-        return _tight(self)._meta[2] if self._v else -1
+        return _exact_meta(_digits(self._v, self._w), self._s)[2] if self._v else -1
 
     def degree_q(self) -> int:
         """Largest q-exponent, or -1 for the zero polynomial."""
-        return _tight(self)._meta[3] if self._v else -1
+        return _exact_meta(_digits(self._v, self._w), self._s)[3] if self._v else -1
 
     def __bool__(self) -> bool:
         return bool(self._v)

@@ -158,8 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_stats(args) -> int:
     st = compute_stats(parse_tree(args.tree))
-    print(json.dumps({"internal": st.internal, "jumps": st.jumps,
-                      "depth": st.depth, "jumpdist": st.jumpdist}))
+    print(json.dumps(st._asdict()))
     return EXIT_OK
 
 
@@ -168,9 +167,7 @@ def _cmd_enumerate(args) -> int:
         raise _UsageError("--cap must be >= 0")
     for tree, st in enumerate_trees_with_stats(args.n, cap=args.cap):
         if args.with_stats:
-            print(json.dumps({"tree": format_tree(tree),
-                              "internal": st.internal, "jumps": st.jumps,
-                              "depth": st.depth, "jumpdist": st.jumpdist}))
+            print(json.dumps({"tree": format_tree(tree), **st._asdict()}))
         else:
             print(format_tree(tree))
     return EXIT_OK

@@ -17,24 +17,20 @@ these into one-marker integer series in x, solved order by order in r:
   of the bracket times x * sum(C(2n,n) * x^n) = x / sqrt(1 - 4x).
 * Jump distance.  The depth series J = 1 + x*t*f*J gives the depth power
   sums D_0 = f and D_k = x*f*(sum(C(k,i) * D_i, i < k) + D_k), that is
-  D_k = (f - 1) * sum(C(k,i) * D_i, i < k).  Jump distance is n - depth,
-  so s_r(n) = sum(C(r,k) * n^(r-k) * (-1)^k * [x^n] D_k, k = 0..r).
+  D_k = (f - 1) * sum(C(k,i) * D_i, i < k).  Jump distance is n - depth.
 
 ``moment_table`` checks each of these linear equations exactly, and
 compares the sums at small n with ``q_log_derivative_power``, which reads
 them off the two-marker series H or K with one decode of each
-coefficient.  With c = s_0 the tree count, the raw moment is
-m_r = s_r / c, and the moment about the mean is one exact quotient of
-integers,
-
-    mu_r = sum(binomial(r, k) * c^k * s_k * (-s_1)^(r-k), k=0..r) / c^(r+1),
-
-the sum over trees of (c*value - s_1)^r divided by c^(r+1).
-
-Scaled moments divide by the appropriate power of the variance: even
-orders as mu_2k / mu_2^k, odd orders as the pair (sign of mu_r,
-mu_r^2 / mu_2^r) so everything stays rational.  Rows where mu_2 = 0
-(sizes 0 and 1) mark the scaled columns undefined.
+coefficient.  One binomial shift, ``_shifted_sums``, turns the power sums
+s_k of a value v into those of a*v + b: (a*E + b)^r applied to s_0, where
+E shifts s_k to s_(k+1).  It gives jump distance as n - depth, and with
+c = s_0 the tree count, the moment about the mean as one exact quotient
+of integers, mu_r = sum((c*value - s_1)^r) / c^(r+1).  The raw moment is
+m_r = s_r / c.  A row stores only these two; ``MomentRow.scaled`` divides
+by powers of the variance, even orders as mu_2k / mu_2^k, odd orders as
+the pair (sign of mu_r, mu_r^2 / mu_2^r) so everything stays rational.
+Where mu_2 = 0 (sizes 0 and 1) the scaled columns are undefined.
 
 ``REFERENCE_FORMULAS`` holds the nine closed forms the tables are checked
 against, tagged 7.1-7.5 (jumps) and 8.1-8.4 (jump distance).  The odd one
@@ -68,17 +64,19 @@ DEFAULT_N_MAX = 60
 # The largest moment order a table accepts.  It was sized when a table
 # solved H or K at n_max: the worst admitted request took about 19 s of
 # CPU, inside the 8-27 s band that sized ``genfunc.ORDER_CAPS``.  From
-# the one-marker series, a table to order 24 took 2.7-4.6 s for jumpdist
-# at n_max 400 (0.9-1.4 s of it power sums, most of the rest the central
-# moments of its Fraction rows) and 1.1-1.3 s for jumps at n_max 200, on
-# a 2-vCPU x86 VM.  The cap, and the n caps of H and K that a table
+# the one-marker series, a table to order 24 took 1.7-3.3 s for jumpdist
+# at n_max 400 (1.0-1.9 s of it power sums, most of the rest the Fraction
+# reduction of its rows) and 0.75-1.3 s for jumps at n_max 200, on a
+# shared 2-vCPU x86 VM.  The cap, and the n caps of H and K that a table
 # still obeys, are kept so that every refusal reads as before.
 MOMENT_CAP = 24
 
 # The highest order at which a table's power sums are compared with the
 # two-marker series.  Forty covers every table of a paper session (n_max
-# 32 at most), so the session reuses the series that its verifications
-# solved, and keeps each cold solve at a few hundredths of a second.
+# 32 at most) and keeps each cold solve at a few hundredths of a second.
+# The series are cached by order, so a session's re-guess tables at n_max
+# 29 and 26 solve H and K afresh: one paper session ends with 4 misses of
+# ``solve_H`` (orders 11, 32, 29 and 26) and 3 of ``solve_K``.
 CROSS_CHECK_ORDER = 40
 
 STATS = ("jumps", "jumpdist")
@@ -116,9 +114,6 @@ class MomentRow:
     count: int
     raw: tuple[Fraction, ...]                       # m_1 .. m_R
     central: tuple[Fraction, ...]                   # mu_2 .. mu_R
-    scaled_even: dict[int, Fraction]                # r -> mu_r / mu_2^(r/2)
-    scaled_odd_squared: dict[int, tuple[int, Fraction]]  # r -> (sign, value)
-    variance_defined: bool
 
     def raw_moment(self, r: int) -> Fraction:
         if not 1 <= r <= len(self.raw):
@@ -130,6 +125,30 @@ class MomentRow:
             raise IndexError(f"central moment {r} not tabulated")
         return self.central[r - 2]
 
+    @property
+    def variance_defined(self) -> bool:
+        return bool(self.central) and self.central[0] > 0
+
+    def scaled(self, r: int) -> Fraction | tuple[int, Fraction] | None:
+        """mu_r / mu_2^(r/2) for even r, (sign of mu_r, mu_r^2 / mu_2^r)
+        for odd r; None where mu_2 is 0 or r is not tabulated."""
+        if not (self.variance_defined and 2 <= r <= len(self.central) + 1):
+            return None
+        mu2, mu = self.central[0], self.central[r - 2]
+        if r % 2 == 0:
+            return mu / mu2 ** (r // 2)
+        return (mu > 0) - (mu < 0), mu ** 2 / mu2 ** r
+
+    @property
+    def scaled_even(self) -> dict[int, Fraction]:
+        return {r: v for r in range(2, len(self.central) + 2, 2)
+                if (v := self.scaled(r)) is not None}
+
+    @property
+    def scaled_odd_squared(self) -> dict[int, tuple[int, Fraction]]:
+        return {r: v for r in range(3, len(self.central) + 2, 2)
+                if (v := self.scaled(r)) is not None}
+
     def value(self, kind: str, r: int) -> Fraction | None:
         """One moment column by ReferenceFormula kind: "raw", "central",
         "scaled" (even r) or "scaled_squared" (odd r, the squared value
@@ -138,12 +157,10 @@ class MomentRow:
             return self.raw_moment(r)
         if kind == "central":
             return self.central_moment(r)
-        if kind == "scaled":
-            return self.scaled_even.get(r)
-        if kind == "scaled_squared":
-            pair = self.scaled_odd_squared.get(r)
-            return None if pair is None else pair[1]
-        raise ValueError(f"unknown moment kind {kind!r}")
+        if kind not in ("scaled", "scaled_squared"):
+            raise ValueError(f"unknown moment kind {kind!r}")
+        got = self.scaled(r) if r % 2 == (kind == "scaled_squared") else None
+        return got if kind == "scaled" or got is None else got[1]
 
     def to_json(self) -> dict:
         return {
@@ -152,10 +169,10 @@ class MomentRow:
             "raw": [str(v) for v in self.raw],
             "central": [str(v) for v in self.central],
             "scaled_even": {str(r): str(v)
-                            for r, v in sorted(self.scaled_even.items())},
+                            for r, v in self.scaled_even.items()},
             "scaled_odd_squared": {
                 str(r): {"sign": s, "value": str(v)}
-                for r, (s, v) in sorted(self.scaled_odd_squared.items())},
+                for r, (s, v) in self.scaled_odd_squared.items()},
             "variance_defined": self.variance_defined,
         }
 
@@ -197,12 +214,11 @@ class MomentTable:
             record += [str(v) for v in row.raw]
             record += [str(v) for v in row.central]
             for r in range(2, self.max_moment + 1):
+                v = row.scaled(r)
                 if r % 2 == 0:
-                    v = row.scaled_even.get(r)
                     record.append("" if v is None else str(v))
                 else:
-                    sv = row.scaled_odd_squared.get(r)
-                    record += ["", ""] if sv is None else [sv[0], str(sv[1])]
+                    record += ["", ""] if v is None else [v[0], str(v[1])]
             writer.writerow(record)
         return out.getvalue()
 
@@ -263,15 +279,22 @@ def _one_marker_sums(stat: str, max_moment: int, n_max: int) -> list[list[int]]:
         d = (f - 1) * below & mask
         check(d, (f * (below + d) << w) & mask, f"D_{k}")
         D.append(d)
-    # jumpdist = n - depth: sums[r][n] is (n - E)^r applied to the depth
-    # sums d_k = [x^n]D_k, where E shifts d_k to d_(k+1)
-    v = [unpacked(d) for d in D]
-    sums = [v[0]]
-    for _ in range(R):
-        v = [[n * c - e for n, (c, e) in enumerate(zip(a, b))]
-             for a, b in zip(v, v[1:])]
-        sums.append(v[0])
-    return sums
+    # jumpdist = n - depth
+    return _shifted_sums([unpacked(d) for d in D], [-1] * (N + 1),
+                         list(range(N + 1)))
+
+
+def _shifted_sums(sums: list[list[int]], a: list[int],
+                  b: list[int]) -> list[list[int]]:
+    """out[r][n] = sum((a[n] * v + b[n])^r) for r < len(sums), from the
+    power sums sums[k][n] = sum(v^k): (a*E + b)^r applied to sums[0],
+    where E shifts sums[k] to sums[k + 1]."""
+    out = [sums[0]]
+    while len(sums) > 1:
+        sums = [[x * e + y * c for x, y, c, e in zip(a, b, lo, hi)]
+                for lo, hi in zip(sums, sums[1:])]
+        out.append(sums[0])
+    return out
 
 
 def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
@@ -307,36 +330,16 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
                     f"{stat} power sum s_{r} at x^{n} is {got}, the "
                     f"two-marker series gives {expected}")
 
-    rows = []
-    for n in range(n_max + 1):
-        count, s1 = sums[0][n], sums[1][n]
-        m = [Fraction(s[n], count) for s in sums]   # m[0] = 1
-        # count^k and (-s1)^j, each power computed once per row
-        cpow, spow = [1], [1]
-        for _ in range(max_moment + 1):
-            cpow.append(cpow[-1] * count)
-            spow.append(spow[-1] * -s1)
-        central = [
-            Fraction(sum(comb(r, k) * cpow[k] * sums[k][n] * spow[r - k]
-                         for k in range(r + 1)), cpow[r + 1])
-            for r in range(2, max_moment + 1)]
-        mu2 = central[0] if central else 0
-        scaled_even: dict[int, Fraction] = {}
-        scaled_odd: dict[int, tuple[int, Fraction]] = {}
-        if mu2 > 0:
-            for r in range(2, max_moment + 1):
-                mu_r = central[r - 2]
-                if r % 2 == 0:
-                    scaled_even[r] = mu_r / mu2 ** (r // 2)
-                else:
-                    sign = (mu_r > 0) - (mu_r < 0)
-                    scaled_odd[r] = (sign, mu_r ** 2 / mu2 ** r)
-        rows.append(MomentRow(
-            n=n, count=count, raw=tuple(m[1:]), central=tuple(central),
-            scaled_even=scaled_even, scaled_odd_squared=scaled_odd,
-            variance_defined=mu2 > 0))
-    return MomentTable(stat=stat, max_moment=max_moment, n_max=n_max,
-                       rows=tuple(rows))
+    # mu_r = central[r][n] / count^(r+1): central[r][n] sums
+    # (count * value - s_1)^r over the trees of size n
+    counts = sums[0]
+    central = _shifted_sums(sums, counts, [-s1 for s1 in sums[1]])
+    rows = tuple(
+        MomentRow(n, count, tuple(Fraction(s[n], count) for s in sums[1:]),
+                  tuple(Fraction(c[n], count ** (r + 1))
+                        for r, c in enumerate(central[2:], 2)))
+        for n, count in enumerate(counts))
+    return MomentTable(stat, max_moment, n_max, rows)
 
 
 # --- reference closed forms ---------------------------------------------------
@@ -428,33 +431,25 @@ def check_closed_forms(table: MomentTable) -> list[FormulaCheck]:
         if (ref.stat != table.stat or ref.r > table.max_moment
                 or n_from > table.n_max):
             continue
-        passed = True
-        mismatch = None
-        detail = ""
+        mismatch, detail = None, ""
         for n in range(n_from, table.n_max + 1):
             expected = ref.formula.evaluate(n)
             row = table.row(n)
             got = row.value(ref.kind, ref.r)
-            if ref.kind == "scaled_squared":
-                if got is None:
-                    passed, mismatch = False, n
-                    detail = "scaled moment undefined"
-                    break
-                if got != expected:
-                    passed, mismatch = False, n
-                    detail = f"squared value {got} != {expected}"
-                    break
-                sign = row.scaled_odd_squared[ref.r][0]
-                if (ref.sign_positive_from is not None
-                        and n >= ref.sign_positive_from and sign != 1):
-                    passed, mismatch = False, n
-                    detail = f"sign {sign} where positive is required"
-                    break
-            else:
+            if ref.kind != "scaled_squared":
                 if got is None or got != expected:
-                    passed, mismatch = False, n
                     detail = f"value {got} != {expected}"
-                    break
-        checks.append(FormulaCheck(ref.tag, passed, n_from, table.n_max,
-                                   mismatch, detail))
+            elif got is None:
+                detail = "scaled moment undefined"
+            elif got != expected:
+                detail = f"squared value {got} != {expected}"
+            elif (ref.sign_positive_from is not None
+                  and n >= ref.sign_positive_from
+                  and (sign := row.scaled(ref.r)[0]) != 1):
+                detail = f"sign {sign} where positive is required"
+            if detail:
+                mismatch = n
+                break
+        checks.append(FormulaCheck(ref.tag, mismatch is None, n_from,
+                                   table.n_max, mismatch, detail))
     return checks

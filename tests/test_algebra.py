@@ -72,6 +72,17 @@ def test_poly_degrees_and_constant():
         p.constant_value()
 
 
+def test_degrees_leave_the_stored_bounds_alone():
+    # (1 + q)(1 - q) = 1 - q^2: the product's bounds count a q term that
+    # cancelled, and reading a degree must not rewrite them
+    q = Poly2.term(1, eq=1)
+    p = (Poly2.one() + q) * (Poly2.one() - q)
+    loose = p._meta
+    assert loose != _exact_meta(_digits(p._v, p._w), p._s)
+    assert p.degree_q() == 2 and p._meta == loose
+    assert p.degree_t() == 0 and p._meta == loose
+
+
 def test_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         poly({(-1, 0): 1})

@@ -282,6 +282,52 @@ def test_moment_row_is_frozen():
         row.count = 9
 
 
+def test_moment_row_stores_raw_and_central_only():
+    assert [f.name for f in dataclasses.fields(MomentRow)] == [
+        "n", "count", "raw", "central"]
+
+
+def test_scaled_columns_follow_a_replaced_central():
+    row = moment_table("jumpdist", max_moment=4, n_max=4).row(4)
+    mu2, mu3, mu4 = F(2), F(3), F(-8)
+    new = dataclasses.replace(row, central=(mu2, mu3, mu4))
+    assert new.scaled_even == {2: F(1), 4: F(-2)}
+    assert new.scaled_odd_squared == {3: (1, F(9, 8))}
+    assert new.variance_defined
+    flat = dataclasses.replace(row, central=(F(0), F(1), F(1)))
+    assert not flat.variance_defined
+    assert flat.scaled_even == {} and flat.scaled_odd_squared == {}
+    assert flat.value("scaled", 4) is None
+
+
+def test_scaled_values_of_the_wrong_parity_or_order_are_none():
+    table = moment_table("jumps", max_moment=4, n_max=6)
+    row = table.row(5)
+    assert row.value("scaled", 4) is not None
+    assert row.value("scaled_squared", 3) is not None
+    for r in (-1, 0, 1, 3, 5, 6):
+        assert row.value("scaled", r) is None
+    for r in (-1, 1, 2, 4, 5):
+        assert row.value("scaled_squared", r) is None
+    row1 = moment_table("jumps", max_moment=1, n_max=3).row(3)
+    assert not row1.variance_defined
+    assert row1.value("scaled", 2) is None
+
+
+@pytest.mark.parametrize("a,b", [(1, 0), (-1, 7), (3, -5), (-2, -3)])
+def test_shifted_sums_match_the_direct_power_sums(a, b):
+    # one column per value list, repeated values and negatives included
+    columns = [[], [0], [4, 4, 4], [-3, 1, 1, 2, -3], [5, -7, 0, 0, 11, 2]]
+    sums = [[sum(v ** k for v in vs) for vs in columns]
+            for k in range(MOMENT_CAP + 1)]
+    av = [a * (i + 1) for i in range(len(columns))]
+    bv = [b - i for i in range(len(columns))]
+    out = moments._shifted_sums(sums, av, bv)
+    assert out == [[sum((x * v + y) ** r for v in vs)
+                    for x, y, vs in zip(av, bv, columns)]
+                   for r in range(MOMENT_CAP + 1)]
+
+
 # --- power sums against integer formulas ----------------------------------
 
 def _narayana_sums(n: int, r_max: int) -> list[int]:
