@@ -35,17 +35,17 @@ A coefficient of sum(a_i * b_i) is at most count * (2^top - 1), with
 top the largest bits(a_i) + bits(b_i) and count the sum of
 min(terms(a_i), terms(b_i)), since a term of a product takes one term of
 each factor; its slot is that bit length plus a sign bit, rounded up to
-whole bytes.  Each product checks this bound first and packs its
-operands wider when their layout is too narrow, so nothing wraps.
-``Series.__mul__`` picks one layout for all of its products.  The online
-solves keep one layout for the whole solve.  ``inverse`` and ``sqrt`` fix
-it before the first coefficient from an l1 majorant of their recurrences,
-computed on plain ints, and never re-check or re-pack; ``sqrt`` decodes
-each coefficient once, to halve it exactly.  ``fixed_point_solve``
-re-checks it before each coefficient from the bounds of one decode of
-each coefficient solved so far, and re-packs with room to grow when it
-would overflow: a fixed-point step is opaque, so no majorant of it exists
-in advance.
+whole bytes.  Each sum or ``dot`` checks this bound first.  It keeps the
+layout of its operand with the most stored terms if that one fits, so
+only operands with fewer terms are re-packed, and else packs them all
+wider, so nothing wraps.  A theorem residual is one ``dot`` per x-power,
+in its series' layout; ``Series.__mul__`` picks one layout for all of its
+products.  ``inverse`` and ``sqrt`` fix theirs before the first
+coefficient from an l1 majorant of their recurrences, computed on plain
+ints; ``sqrt`` decodes each coefficient once, to halve it exactly.
+``fixed_point_solve`` re-checks its layout before each coefficient from
+one decode of each coefficient solved so far, and re-packs with room to
+grow: a fixed-point step is opaque, so no majorant of it exists in advance.
 """
 
 from __future__ import annotations
@@ -155,12 +155,12 @@ def _dot_meta(a: list[tuple], b: list[tuple]) -> tuple:
 
 def _target(polys: Sequence[Poly2], bits: int, stride: int) -> tuple[int, int]:
     """Layout for a result of up to ``bits``-bit coefficients and q-degree
-    below ``stride``: the largest operand's, when it is wide enough, so
-    that only smaller ones are re-packed; else the narrowest that fits.
-    The stride of a t-free polynomial does not change its int."""
+    below ``stride``: that of the operand with the most stored terms, if it
+    is wide enough, so only operands with fewer terms are re-packed; else
+    the narrowest that fits.  A t-free polynomial's int ignores the stride."""
     nonzero = [p for p in polys if p._v]
     if nonzero:
-        best = max(nonzero, key=lambda p: p._v.bit_length())
+        best = max(nonzero, key=lambda p: p._meta[1])
         flat = not any(p._meta[2] for p in nonzero)
         if best._w > bits and (best._s >= stride or flat):
             return best._w, max(best._s, stride)
@@ -355,9 +355,7 @@ class Poly2:
     __radd__ = __add__
 
     def __sub__(self, other: Poly2 | int) -> Poly2:
-        if isinstance(other, int):
-            other = Poly2.constant(other)
-        if not isinstance(other, Poly2):
+        if not isinstance(other, (Poly2, int)):
             return NotImplemented
         return self + (-other)
 
@@ -477,13 +475,6 @@ class Series:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)
 
-    def first_nonzero(self) -> tuple[int, Poly2] | None:
-        """Index and value of the lowest nonzero coefficient, or None."""
-        for n, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                return n, c
-        return None
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Series):
             return self._coeffs == other._coeffs
@@ -503,8 +494,7 @@ class Series:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        upto = min(self.order, rhs.order)
-        return Series([self._coeffs[n] + rhs._coeffs[n] for n in range(upto + 1)])
+        return Series([a + b for a, b in zip(self._coeffs, rhs._coeffs)])
 
     __radd__ = __add__
 
@@ -512,8 +502,7 @@ class Series:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        upto = min(self.order, rhs.order)
-        return Series([self._coeffs[n] - rhs._coeffs[n] for n in range(upto + 1)])
+        return Series([a - b for a, b in zip(self._coeffs, rhs._coeffs)])
 
     def __rsub__(self, other) -> Series:
         rhs = self._coerce(other)

@@ -32,9 +32,8 @@ import os
 import sys
 
 from . import genfunc, guess, moments
-from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
-                    compute_stats, enumerate_trees_with_stats, format_tree,
-                    parse_tree)
+from .trees import (STREAMING_CAP, EnumerationCapError, compute_stats,
+                    enumerate_trees_with_stats, format_tree, parse_tree)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all trees of a size")
     p.add_argument("n", type=int)
-    _flag(p, "--cap", DEFAULT_ENUMERATION_CAP,
+    _flag(p, "--cap", STREAMING_CAP,
           help="refuse sizes above this (default %(default)s)")
     p.add_argument("--with-stats", action="store_true",
                    help="print JSON lines with statistics instead of bare trees")

@@ -20,8 +20,10 @@ shifts and adds; J is the inverse of its series.
 
 Each series satisfies an algebraic identity with a square-root term.  The
 verifiers never divide by marker-bearing denominators: every identity is
-cross-multiplied into the form (polynomial)*series + (polynomial + radical)
-= 0 and checked coefficient by coefficient, which is exact at any order.
+cross-multiplied into the form (d0 + d1*x)*S + lin + radical = 0, exact at
+any order.  Its x^n coefficient is one ``dot`` of (S_n, S_(n-1), lin_n +
+radical_n) with (d0, d1, 1), computed when read, and a check reads up to
+the first nonzero one, so no residual series is built.
 
 ``verify_theorem`` runs the identity for one of the ids 0..6 and returns a
 machine-readable Verdict.  Ids 3, 5 and 6 report the self-checks of the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
                       fixed_point_solve)
@@ -80,18 +83,13 @@ class ResourceCapError(RuntimeError):
         self.cap, self.limit = cap, limit
 
 
-# The largest order each solver accepts.  A solve at order N holds about
-# N^3/6 terms for F and N^2/2 for H, J and K (N for f, whose N-th
-# coefficient has about 2N bits).  Each cap was an order at which one
-# solve, self-check included, took 8-27 s of CPU on a 2-vCPU x86 VM; the
-# cost grew about as N^5 for F and H.  J and K, checked in linear form,
-# now take 3.7-4.2 s and 4.1-4.5 s at 400, and H's radical no longer costs
-# about 4.7 s of its self-check at 200.  F, summed column by column, takes
-# 0.2-0.3 s at 120 where its inverse took 15-22 s, and its theorem-2 check,
-# verify_F_closed_form, 0.29-0.34 s there, where it took 2.6-2.8 s before
-# its products by the literal factors became shifted adds.  The caps
-# stay, so every recorded refusal, which names its cap, stays
-# byte-identical.
+# The largest order each solver accepts; every recorded refusal names its
+# cap, so the caps stay.  A solve at order N holds about N^3/6 terms for F
+# and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
+# bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now H
+# takes 5-7 s at 200, `verify 6` (f, J, K and their checks) 2.2 s at 400,
+# and F 0.2-0.3 s at 120, where its theorem-2 check takes 0.15 s and peaks
+# at 4.3 MB of live memory with F solved (60.5 MB with whole series).
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
@@ -129,16 +127,17 @@ class Verdict:
         }
 
 
-def _first_failure(*residuals: Series) -> FirstFailure | None:
-    """Lowest nonzero coefficient of the first residual that has one."""
+def _first_failure(*residuals: Iterable[Poly2]) -> FirstFailure | None:
+    """Lowest nonzero coefficient of the first residual that has one.  A
+    residual is its x-coefficients from x^0 up, read only up to that one."""
     for residual in residuals:
-        hit = residual.first_nonzero()
-        if hit is not None:
-            return FirstFailure(*hit)
+        for n, c in enumerate(residual):
+            if c:
+                return FirstFailure(n, c)
     return None
 
 
-def _self_checked(series: Series, residual: Series, what: str) -> Series:
+def _self_checked(series: Series, residual: Iterable, what: str) -> Series:
     """The series if its closed-form residual vanishes, else SelfCheckError."""
     hit = _first_failure(residual)
     if hit is not None:
@@ -197,12 +196,18 @@ def solve_catalan(order: int) -> Series:
 
 
 def _linear_residual(S: Series, d0: Poly2 | int, d1: Poly2 | int, lin: list,
-                     radical: Series) -> Series:
-    """(d0 + d1*x)*S + lin + radical: two products per x-power of S."""
-    return S * d0 + (S * d1).shift_x() + _x_poly(lin, radical.order) + radical
+                     radical: Series) -> Iterator[Poly2]:
+    """The x-coefficients of (d0 + d1*x)*S + lin + radical up to the
+    radical's order, each computed when read: x^n is the one ``dot`` of
+    (S_n, S_(n-1), lin_n + radical_n) with (d0, d1, 1), in S_n's layout."""
+    factors = [d if isinstance(d, Poly2) else Poly2.constant(d)
+               for d in (d0, d1, 1)]
+    rest = (_x_poly(lin, radical.order) + radical).coefficients()
+    for terms in zip(S.coefficients(), S.shift_x().coefficients(), rest):
+        yield dot(terms, factors)
 
 
-def _theorem3_residual(H: Series, order: int) -> Series:
+def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
     # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1
     return _linear_residual(H, 0, 2 * _Q, [-1, _ONE_MINUS_Q],
                             jumps_radical(order))
@@ -286,13 +291,13 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
     elif F.order < order:
         raise ValueError(f"series order {F.order} is below requested {order}")
     factor_diff = printed_radicand(order) - inner_radicand(order) * Poly2({(2, 0): 1})
-    hit = _first_failure(factor_diff, _linear_residual(
+    hit = _first_failure(factor_diff.coefficients(), _linear_residual(
         F, 2 - 2 * _T, 2 * _T * (_Q + _T - 1), [_T - 2, _T * _ONE_MINUS_Q],
         jumps_radical(order) * _T))
     return Verdict("2", order, hit is None, hit)
 
 
-def _theorem5_residual(J: Series, order: int) -> Series:
+def _theorem5_residual(J: Series, order: int) -> Iterator[Poly2]:
     # 2*(1 - t + t^2x)*J + (t - 2) + t*sqrt(1-4x), theorem 2's at q=1
     return _linear_residual(J, 2 - 2 * _T, 2 * _T * _T, [_T - 2],
                             catalan_radical(order) * _T)
@@ -310,7 +315,7 @@ def solve_Jdepth(order: int) -> Series:
     return _self_checked(J, _theorem5_residual(J, order), "depth")
 
 
-def _theorem6_residual(K: Series, order: int) -> Series:
+def _theorem6_residual(K: Series, order: int) -> Iterator[Poly2]:
     # 2*(q - 1 + x)*K + (1 - 2q) + sqrt(1-4qx)
     return _linear_residual(K, 2 * _Q - 2, 2, [1 - 2 * _Q],
                             jumpdist_radical(order))
@@ -336,11 +341,11 @@ def solve_K(order: int) -> Series:
                     f"depth series coefficient x^{n} has a bad term "
                     f"t^{et}*q^{eq}")
             row[n - et] = v
-        # 5 spare bits fit x^n of the theorem-6 residual, 2(q - 1)*K_n +
-        # 2*K_(n-1) + (1 - 2q) + r_n, by the width rule: 3 bits for the
-        # products, as bits(K_(n-1)) <= bits(K_n) + 1, and 1 for each sum,
-        # as r_n = -(the rest); so its products keep each K_n's layout
-        coeffs.append(Poly2._packed(row, n + 1, 5))
+        # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
+        # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule
+        # adds 4 bits, 2q - 2's stored bound, and 2 for the 4 term pairs,
+        # as bits(K_(n-1)) and bits(r_n) are at most bits(K_n) + 2 to order 400
+        coeffs.append(Poly2._packed(row, n + 1, 6))
     K = Series(coeffs)
     return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 
@@ -383,8 +388,9 @@ def verify_theorem(theorem: int | str, order: int,
 
     if tid == "0":
         f = solve_catalan(order)
-        hit = _first_failure(f - (1 + (f * f).shift_x()),
-                             f.shift_x() * 2 - 1 + catalan_radical(order))
+        hit = _first_failure((f - (1 + (f * f).shift_x())).coefficients(),
+                             _linear_residual(f, 0, 2, [-1],
+                                              catalan_radical(order)))
     elif tid == "1":
         upto = min(order, oracle_cap)
         if upto > DEFAULT_ENUMERATION_CAP:
@@ -394,8 +400,10 @@ def verify_theorem(theorem: int | str, order: int,
                 f"at most {DEFAULT_ENUMERATION_CAP}")
         F = solve_F(order)
         # the cap was asked for explicitly, so it doubles as the refusal cap
-        hit = _first_failure(F - brute_force_enumerator(upto, cap=upto))
+        hit = _first_failure(
+            (F - brute_force_enumerator(upto, cap=upto)).coefficients())
     else:  # id 4
         J = solve_Jdepth(order)
-        hit = _first_failure(J - 1 - (J.substitute("t", 1) * J).shift_x() * _T)
+        hit = _first_failure(
+            (J - 1 - (J.substitute("t", 1) * J).shift_x() * _T).coefficients())
     return Verdict(tid, order, hit is None, hit)

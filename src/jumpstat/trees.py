@@ -49,7 +49,11 @@ from typing import Iterator, NamedTuple
 
 from .algebra import Poly2, Series
 
+# Default size caps, each about 8-27 s of CPU on a 2-vCPU x86 VM: the
+# oracles' at 16 (`verify 1` took 4.8 s at 15), and `enumerate`'s at 13, as
+# it builds and prints 14 us a tree (500 s and 1.7 GB at 16).
 DEFAULT_ENUMERATION_CAP = 16
+STREAMING_CAP = 13
 
 
 class TreeParseError(ValueError):
@@ -259,7 +263,7 @@ def _check_cap(n: int, cap: int) -> None:
             f"({catalan(n)} trees); raise the cap explicitly to proceed")
 
 
-def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Node | Leaf]:
+def enumerate_trees(n: int, cap: int = STREAMING_CAP) -> Iterator[Node | Leaf]:
     """Yield every full binary tree with n internal vertices.
 
     Order is deterministic: by left-subtree size ascending, then
@@ -271,7 +275,7 @@ def enumerate_trees(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Node
 
 
 def enumerate_trees_with_stats(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
+    n: int, cap: int = STREAMING_CAP
 ) -> Iterator[tuple[Node | Leaf, TreeStats]]:
     """Yield (tree, stats) pairs in enumerate_trees order.
 

@@ -191,12 +191,6 @@ def test_inverse_preconditions():
         Series.constant(Poly2.term(2, eq=1), 3).inverse()
 
 
-def test_first_nonzero():
-    s = Series.from_x_coefficients([0, 0, 3], 4)
-    assert s.first_nonzero() == (2, Poly2.constant(3))
-    assert Series.zero(3).first_nonzero() is None
-
-
 def test_series_json_shape():
     s = Series.from_x_coefficients([Poly2.one(), Poly2.term(-3, et=1)], 1)
     assert s.to_json() == [

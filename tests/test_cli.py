@@ -65,6 +65,13 @@ def test_enumerate_with_stats(capsys):
     ]
 
 
+def test_enumerate_refuses_by_default_a_size_past_the_cost_band(capsys):
+    # 14 would stream 2.7 million trees, about 38 s of CPU
+    code, out, err = run(capsys, "enumerate", "14")
+    assert (code, out) == (3, "")
+    assert "cap of 13" in err
+
+
 def test_enumerate_cap_refusal(capsys):
     code, out, err = run(capsys, "enumerate", "17")
     assert code == 3
@@ -395,8 +402,7 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
     # perfbench/tracer.py rebinds layer functions by name; a refactor that
     # unbinds one of them must fail here, not only in the benchmark
     trace = _trace(tmp_path, "moments", "jumps", "--nmax", "6")
-    for span in ("algebra.fixed_point", "algebra.mul", "algebra.sqrt",
-                 "genfunc.solve_H"):
+    for span in ("algebra.fixed_point", "algebra.sqrt", "genfunc.solve_H"):
         assert trace["spans"][span]["calls"] >= 1, span
     assert trace["counters"]["algebra.fixed_point.iterations"] == 7
     # moment_table must reach q_log_derivative_power through its

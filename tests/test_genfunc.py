@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import tracemalloc
 from math import comb
 from operator import ge
 
@@ -392,6 +394,44 @@ def test_verify_F_closed_form_rejects_short_series():
         verify_F_closed_form(10, F=solve_F(5))
 
 
+def test_first_failure_reads_each_residual_up_to_its_first_nonzero():
+    def residual():
+        yield from [Poly2.zero(), Poly2.zero(), Poly2.term(3, eq=1)]
+        raise AssertionError("read past the first nonzero coefficient")
+
+    assert genfunc._first_failure([Poly2.zero()] * 3, residual()) == \
+        FirstFailure(2, Poly2.term(3, eq=1))
+    assert genfunc._first_failure([Poly2.zero()] * 4, iter(())) is None
+
+
+def test_a_passing_theorem_2_check_holds_less_than_F():
+    # the residual is read one x-power at a time: when it was built as
+    # whole series, the check at 60 peaked at 2.6 times F's packed ints
+    F = solve_F(60)
+    size = sum(sys.getsizeof(c._v) for c in F.coefficients())
+    tracemalloc.start()
+    try:
+        assert verify_F_closed_form(60, F).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= size
+
+
+def test_a_sum_keeps_the_layout_of_the_operand_with_the_most_terms():
+    # x^100 of K holds 101 terms in (w, s) = (200, 101); that of
+    # sqrt(1 - 4qx) is one term in the radical's whole-order layout, whose
+    # int is the longer.  Only the one-term operand is re-packed.
+    K_n = solve_K(200).coefficient(100)
+    r_n = jumpdist_radical(200).coefficient(100)
+    total = K_n + r_n
+    assert (total._w, total._s) == (K_n._w, K_n._s) == (200, 101)
+    terms = dict(K_n.items())
+    for key, c in r_n.items():
+        terms[key] = terms.get(key, 0) + c
+    assert total.items() == sorted((k, c) for k, c in terms.items() if c)
+
+
 def test_failing_verdict_reports_first_failure():
     # 2q*x^2 added to F meets the x^0 factor 2 - 2t of the cross-multiplied
     # closed form, so the residual first fails at x^2 with 4q - 4tq
@@ -482,9 +522,11 @@ _FORMS = {"5": (solve_Jdepth, genfunc._theorem5_residual,
 
 
 def _first_failures(theorem: str, series: Series, order: int) -> tuple:
+    # the linear form yields its coefficients, the printed one is a Series
     _, linear, printed, _, _ = _FORMS[theorem]
-    return tuple((form(series, order).first_nonzero() or (None,))[0]
-                 for form in (linear, printed))
+    return tuple(next((n for n, c in enumerate(coefficients) if c), None)
+                 for coefficients in (linear(series, order),
+                                      printed(series, order).coefficients()))
 
 
 @pytest.mark.parametrize("theorem", ["5", "6"])
