@@ -219,7 +219,7 @@ def _parse_moment_spec(spec: str) -> tuple[str, int]:
     if spec == "variance":
         return "central", 2
     kind, sep, digits = spec.partition(":")
-    if sep and digits.isdigit():
+    if sep and digits.isdecimal():
         r = int(digits)
         if kind == "raw" and r >= 1:
             return kind, r

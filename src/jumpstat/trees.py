@@ -36,7 +36,9 @@ the rules once per tree to its children's statistics (``_compose``):
 
 Everything here is iterative with explicit stacks; trees hundreds of
 thousands of vertices deep parse, format, and measure without touching the
-interpreter's recursion limit.
+interpreter's recursion limit.  A Node may share a subtree with another
+Node; ``compute_stats`` measures it wherever it occurs, and, like
+``format_tree``, raises ``TypeError`` on any item that is not a tree.
 """
 
 from __future__ import annotations
@@ -136,55 +138,44 @@ def parse_tree(text: str) -> Node | Leaf:
     Whitespace is allowed between tokens.  Errors carry the offending
     position.  Iterative; input depth is limited by memory only.
     """
-    pos = 0
     n = len(text)
-    # frames: [left_child or None] per open '['
-    frames: list[list] = []
-    done = None  # completed subtree waiting to be attached
 
     def skip_ws(p: int) -> int:
         while p < n and text[p].isspace():
             p += 1
         return p
 
-    pos = skip_ws(pos)
+    # one entry per open '[': None until its left subtree is stored
+    frames: list = []
+    pos = skip_ws(0)
     while True:
-        if done is None:
-            if pos >= n:
-                raise TreeParseError("expected '.' or '['", pos)
-            ch = text[pos]
-            if ch == ".":
-                done = LEAF
-                pos += 1
-            elif ch == "[":
-                frames.append([None])
-                pos += 1
-                pos = skip_ws(pos)
-                continue
-            else:
-                raise TreeParseError(f"expected '.' or '[', found {ch!r}", pos)
-        # attach the completed subtree
-        if not frames:
-            break
-        pos = skip_ws(pos)
-        frame = frames[-1]
-        if frame[0] is None:
-            if pos >= n or text[pos] != ",":
-                raise TreeParseError("expected ','", pos)
-            frame[0] = done
-            done = None
-            pos += 1
-            pos = skip_ws(pos)
-        else:
+        # open frames down to one leaf
+        while pos < n and text[pos] == "[":
+            frames.append(None)
+            pos = skip_ws(pos + 1)
+        if pos >= n:
+            raise TreeParseError("expected '.' or '['", pos)
+        if text[pos] != ".":
+            raise TreeParseError(f"expected '.' or '[', found {text[pos]!r}",
+                                 pos)
+        tree = LEAF
+        pos = skip_ws(pos + 1)
+        # close every frame that holds its left subtree, then store this
+        # subtree as the next frame's left one
+        while frames and frames[-1] is not None:
             if pos >= n or text[pos] != "]":
                 raise TreeParseError("expected ']'", pos)
-            done = Node(frame[0], done)
-            frames.pop()
-            pos += 1
-    pos = skip_ws(pos)
+            tree = Node(frames.pop(), tree)
+            pos = skip_ws(pos + 1)
+        if not frames:
+            break
+        if pos >= n or text[pos] != ",":
+            raise TreeParseError("expected ','", pos)
+        frames[-1] = tree
+        pos = skip_ws(pos + 1)
     if pos != n:
         raise TreeParseError(f"trailing input {text[pos]!r}", pos)
-    return done
+    return tree
 
 
 def format_tree(tree: Node | Leaf) -> str:
@@ -214,39 +205,37 @@ def compute_stats(tree: Node | Leaf) -> TreeStats:
                  jumps(L) + jumps(R) + 1       otherwise
     * depth    = depth(R) + 1
     * jumpdist = jumpdist(L) + jumpdist(R) + depth(L)
+
+    Any item that is neither a Node nor a leaf raises ``TypeError``.
     """
-    if isinstance(tree, Leaf):
-        return _LEAF_STATS
-    if not isinstance(tree, Node):
-        raise TypeError(f"not a tree: {tree!r}")
-    # post-order over an explicit stack; finished subtrees keyed by id,
-    # leaves handled inline (LEAF is shared, so it never enters the dict)
-    results: dict[int, TreeStats] = {}
-    stack: list[tuple[Node, bool]] = [(tree, False)]
+    # a right-first pre-order read backwards is a post-order, so every
+    # subtree is finished before its parent, with the left one's stats
+    # under the right one's on the value stack; a subtree that several
+    # parents share is measured wherever it occurs
+    order: list = []
+    stack: list = [tree]
     while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            if isinstance(node.right, Node):
-                stack.append((node.right, False))
-            if isinstance(node.left, Node):
-                stack.append((node.left, False))
-            continue
-        left, right = node.left, node.right
-        ls = results[id(left)] if isinstance(left, Node) else _LEAF_STATS
-        rs = results[id(right)] if isinstance(right, Node) else _LEAF_STATS
-        if isinstance(left, Node):
-            results.pop(id(left), None)
-        if isinstance(right, Node):
-            results.pop(id(right), None)
-        jumps = rs.jumps if ls.internal == 0 else ls.jumps + rs.jumps + 1
-        results[id(node)] = TreeStats(
-            internal=ls.internal + rs.internal + 1,
-            jumps=jumps,
-            depth=rs.depth + 1,
-            jumpdist=ls.jumpdist + rs.jumpdist + ls.depth,
-        )
-    return results[id(tree)]
+        item = stack.pop()
+        if isinstance(item, Node):
+            stack.extend((item.left, item.right))
+        elif not isinstance(item, Leaf):
+            raise TypeError(f"not a tree: {item!r}")
+        order.append(item)
+    values: list[TreeStats] = []
+    for item in reversed(order):
+        if isinstance(item, Node):
+            rs = values.pop()
+            ls = values.pop()
+            jumps = rs.jumps if ls.internal == 0 else ls.jumps + rs.jumps + 1
+            values.append(TreeStats(
+                internal=ls.internal + rs.internal + 1,
+                jumps=jumps,
+                depth=rs.depth + 1,
+                jumpdist=ls.jumpdist + rs.jumpdist + ls.depth,
+            ))
+        else:
+            values.append(_LEAF_STATS)
+    return values.pop()
 
 
 def catalan(n: int) -> int:

@@ -277,6 +277,15 @@ def test_guess_bad_moment_spec(capsys):
         assert "bad --moment" in err
 
 
+@pytest.mark.parametrize("spec", ["raw:²", "central:²", "scaled:⁴"])
+def test_guess_a_superscript_moment_order_is_a_usage_error(capsys, spec):
+    # superscript digits are digits to str.isdigit but not to int()
+    code, out, err = run(capsys, "guess", "jumps", "--moment", spec,
+                         "--n-to", "20")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"jumpstat: bad --moment {spec!r}: expected mean")
+
+
 def test_guess_bad_range(capsys):
     code, _, err = run(capsys, "guess", "jumps", "--moment", "mean",
                        "--n-from", "10", "--n-to", "10")
