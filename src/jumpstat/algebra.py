@@ -468,6 +468,8 @@ class Series:
         return self._coeffs
 
     def truncate(self, order: int) -> Series:
+        if order < 0:
+            raise ValueError(f"cannot truncate to negative order {order}")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return Series(self._coeffs[: order + 1])

@@ -18,6 +18,11 @@ x*G follow a three-term recurrence (the one behind the Catalan triangle
 for the powers of f), and F is summed as sum(t^d (xG)^d) from it with
 shifts and adds; J is the inverse of its series.
 
+Each solver caches the highest-order series it has solved.  A series of
+order N is its value mod x^(N+1), so an order from 0 to N is a hit, served
+as its prefix and memoised per order; any other order is a miss that runs
+the solver, and a higher one replaces the cached series.
+
 Each series satisfies an algebraic identity with a square-root term.  The
 verifiers never divide by marker-bearing denominators: every identity is
 cross-multiplied into the form (d0 + d1*x)*S + lin + radical = 0, exact at
@@ -50,9 +55,10 @@ K.  No factor is a zero divisor, so both forms first fail at the same x^m.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import wraps
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
                       fixed_point_solve)
@@ -66,6 +72,7 @@ _Q = Poly2.term(1, eq=1)
 _ONE_MINUS_Q = 1 - _Q
 
 THEOREM_IDS = ("0", "1", "2", "3", "4", "5", "6")
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 class SelfCheckError(RuntimeError):
@@ -87,7 +94,7 @@ class ResourceCapError(RuntimeError):
 # cap, so the caps stay.  A solve at order N holds about N^3/6 terms for F
 # and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
 # bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now H
-# takes 5-7 s at 200, `verify 6` (f, J, K and their checks) 2.2 s at 400,
+# takes 2.3-3.6 s at 200, `verify 6` (f, J, K and checks) 2.2 s at 400,
 # and F 0.2-0.3 s at 120, where its theorem-2 check takes 0.15 s and peaks
 # at 4.3 MB of live memory with F solved (60.5 MB with whole series).
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
@@ -187,12 +194,44 @@ def jumpdist_radical(order: int) -> Series:
 
 # --- solvers ----------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+def _prefix_cached(solve: Callable[[int], Series]) -> Callable[[int], Series]:
+    """``solve`` behind the prefix cache of the module docstring."""
+    cache, hits, misses = {}, 0, 0
+
+    @wraps(solve)
+    def cached(order: int) -> Series:
+        nonlocal cache, hits, misses
+        if 0 <= order <= max(cache, default=-1):
+            hits += 1
+            if order not in cache:
+                cache[order] = cache[max(cache)].truncate(order)
+        else:
+            misses += 1
+            cache = {order: solve(order)}
+        return cache[order]
+
+    def cache_clear() -> None:
+        nonlocal cache, hits, misses
+        cache, hits, misses = {}, 0, 0
+
+    cached.cache_info = lambda: _CacheInfo(hits, misses)
+    cached.cache_clear = cache_clear
+    return cached
+
+
+def _square_term(S: list[Poly2]) -> Poly2:
+    """x^(n-1) of S^2 from its first n terms, each S_i*S_j (i < j) formed once."""
+    k = len(S) // 2
+    half = dot(S[:k], S[::-1])
+    return half + half + (S[k] * S[k] if len(S) % 2 else 0)
+
+
+@_prefix_cached
 def solve_catalan(order: int) -> Series:
     """f = 1 + x*f^2, the tree counter.  Coefficients are plain integers."""
     _capped("f", order)
     return fixed_point_solve(
-        lambda f: dot(f, f[::-1]) if f else Poly2.one(), order)
+        lambda f: _square_term(f) if f else Poly2.one(), order)
 
 
 def _linear_residual(S: Series, d0: Poly2 | int, d1: Poly2 | int, lin: list,
@@ -213,7 +252,7 @@ def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
                             jumps_radical(order))
 
 
-@lru_cache(maxsize=4)
+@_prefix_cached
 def solve_H(order: int) -> Series:
     """H(x,q) = F(x,1,q), trees weighted q^jumps, solved from its own
     equation H = 1 + x*H + q*x*(H - 1)*H.
@@ -224,12 +263,12 @@ def solve_H(order: int) -> Series:
     _capped("H", order)
     # x^n of x*H*((1 - q) + q*H) reads H only up to x^(n-1)
     H = fixed_point_solve(
-        lambda H: (H[-1] * _ONE_MINUS_Q + dot(H, H[::-1]) * _Q) if H
+        lambda H: (H[-1] * _ONE_MINUS_Q + _square_term(H) * _Q) if H
         else Poly2.one(), order)
     return _self_checked(H, _theorem3_residual(H, order), "jumps")
 
 
-@lru_cache(maxsize=4)
+@_prefix_cached
 def solve_F(order: int) -> Series:
     """F(x,t,q) = 1 + xt*F(x,0,q)*F(x,t,q) + xtq*(F(x,1,q) - F(x,0,q))*F(x,t,q).
 
@@ -303,7 +342,7 @@ def _theorem5_residual(J: Series, order: int) -> Iterator[Poly2]:
                             catalan_radical(order) * _T)
 
 
-@lru_cache(maxsize=4)
+@_prefix_cached
 def solve_Jdepth(order: int) -> Series:
     """J(x,t), trees weighted t^depth: the inverse of 1 - x*t*f(x).
 
@@ -321,7 +360,7 @@ def _theorem6_residual(K: Series, order: int) -> Iterator[Poly2]:
                             jumpdist_radical(order))
 
 
-@lru_cache(maxsize=4)
+@_prefix_cached
 def solve_K(order: int) -> Series:
     """K(x,q), trees weighted q^jumpdist.
 

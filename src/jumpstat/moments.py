@@ -74,9 +74,8 @@ MOMENT_CAP = 24
 # The highest order at which a table's power sums are compared with the
 # two-marker series.  Forty covers every table of a paper session (n_max
 # 32 at most) and keeps each cold solve at a few hundredths of a second.
-# The series are cached by order, so a session's re-guess tables at n_max
-# 29 and 26 solve H and K afresh: one paper session ends with 4 misses of
-# ``solve_H`` (orders 11, 32, 29 and 26) and 3 of ``solve_K``.
+# The re-guess tables at n_max 29 and 26 slice the order-32 series, so a
+# paper session ends with 2 misses of ``solve_H`` and 1 of ``solve_K``.
 CROSS_CHECK_ORDER = 40
 
 STATS = ("jumps", "jumpdist")

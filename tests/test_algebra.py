@@ -130,6 +130,13 @@ def test_series_coefficient_bounds():
         Series([])
 
 
+@pytest.mark.parametrize("order", [-1, -2, -6, -7])
+def test_series_truncate_refuses_a_negative_order(order):
+    # a negative slice would count from the end: -2 kept five of six terms
+    with pytest.raises(ValueError, match=f"negative order {order}$"):
+        Series.from_x_coefficients([1, 1, 2, 5, 14, 42], 5).truncate(order)
+
+
 def test_series_substitute_collapses_markers():
     t = Poly2.term(1, et=1)
     a = Series.from_x_coefficients([Poly2.one(), t, t * t], 2)

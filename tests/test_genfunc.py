@@ -6,6 +6,8 @@ from math import comb
 from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpstat import genfunc
 from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta,
@@ -130,7 +132,7 @@ def test_inverse_lays_out_F_and_J_in_catalan_slots(solver, order):
     # Cat(order).  Both lay their slots just wide enough for Cat(order):
     # a looser majorant or bound fails
     width = _slot_width(catalan(order).bit_length())
-    assert {c._w for c in solver(order).coefficients() if c} == {width}
+    assert {c._w for c in solver.__wrapped__(order).coefficients() if c} == {width}
 
 
 def _F_by_inverse(H: Series) -> Series:
@@ -449,6 +451,69 @@ def test_failing_verdict_reports_first_failure():
 def test_solvers_are_cached():
     assert solve_F(12) is solve_F(12)
     assert solve_catalan(15) is solve_catalan(15)
+
+
+_SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
+            "K": solve_K}
+_SOLVED: dict = {}
+
+
+def _solved(name: str, order: int):
+    """The uncached solve: its series, or the type and text of its error."""
+    key = name, order
+    if key not in _SOLVED:
+        try:
+            _SOLVED[key] = _SOLVERS[name].__wrapped__(order)
+        except (ValueError, genfunc.ResourceCapError) as error:
+            _SOLVED[key] = type(error), str(error)
+    return _SOLVED[key]
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVERS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_prefix_cache_serves_what_the_solver_returns(name, data):
+    # orders up to the highest solved are prefixes of it, memoised per
+    # order until a higher one replaces it; any other order, the cap + 1
+    # included, runs the solver
+    solver = _SOLVERS[name]
+    orders = data.draw(st.lists(st.integers(-2, 40) | st.just(
+        genfunc.ORDER_CAPS[name] + 1), min_size=1, max_size=8))
+    solver.cache_clear()
+    top, served, dropped = -1, {}, {}
+    for order in orders:
+        expected = _solved(name, order)
+        hits, misses = solver.cache_info()
+        hit = 0 <= order <= top
+        try:
+            got = solver(order)
+        except (ValueError, genfunc.ResourceCapError) as error:
+            assert (type(error), str(error)) == expected
+        else:
+            assert isinstance(expected, Series) and got == expected
+            if order in served:
+                assert got is served[order]
+            elif order in dropped:
+                assert got is not dropped[order]
+            if order > top:
+                top, served, dropped = order, {}, served
+            served[order] = got
+        assert solver.cache_info() == (hits + hit, misses + (not hit))
+    solver.cache_clear()
+    assert solver.cache_info() == (0, 0)
+    if top >= 0:
+        solver(top)
+        assert solver.cache_info() == (0, 1)
+
+
+def test_the_session_ranges_slice_the_order_32_series():
+    # a paper session re-guesses at n_max 29 and 26 after its order-32 solves
+    for solver in (solve_H, solve_K):
+        solver.cache_clear()
+        top = solver(32)
+        assert [solver(n) for n in (29, 26)] == [top.truncate(29),
+                                                   top.truncate(26)]
+        assert solver.cache_info().misses == 1
 
 
 def test_verdict_is_frozen():
