@@ -218,6 +218,28 @@ def _grown(bits: int, qdeg: int, w: int, s: int, n: int,
     return w, s
 
 
+def _power(var: str, e: int) -> list[str]:
+    """The factor texts of var^e: none for e == 0."""
+    return [var if e == 1 else f"{var}^{e}"] if e else []
+
+
+def _signed_sum(terms: Iterable[tuple[int, list[str]]]) -> str:
+    """Text of a sum of (coefficient, factor texts) terms, zero ones left
+    out: the first term's sign, ``+ `` or ``- `` before each later one,
+    and no magnitude 1 before a factor; ``0`` for an empty sum."""
+    parts = []
+    for c, factors in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = "*".join(factors if mag == 1 and factors else [str(mag), *factors])
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
 class Poly2:
     """Polynomial in the markers t and q with integer coefficients, held
     as one packed int; see the module docstring.  ``items()`` decodes it
@@ -399,22 +421,8 @@ class Poly2:
                 for (et, eq), c in self.items()]
 
     def __str__(self) -> str:
-        parts = []
-        for (et, eq), coeff in self.items():
-            factors = []
-            if et:
-                factors.append("t" if et == 1 else f"t^{et}")
-            if eq:
-                factors.append("q" if eq == 1 else f"q^{eq}")
-            mag = coeff if coeff > 0 else -coeff
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return _signed_sum((c, _power("t", et) + _power("q", eq))
+                           for (et, eq), c in self.items())
 
     def __repr__(self) -> str:
         return f"Poly2({self})"

@@ -49,15 +49,6 @@ SERIES_ALIASES = {
     "K": "K", "jumpdist": "K",
 }
 
-_SOLVERS = {
-    "f": genfunc.solve_catalan,
-    "F": genfunc.solve_F,
-    "H": genfunc.solve_H,
-    "J": genfunc.solve_Jdepth,
-    "K": genfunc.solve_K,
-}
-
-
 # the flag that sets each capped quantity (``ResourceCapError.limit``) of
 # each command: the series order, and the moment order
 _CAP_FLAGS = {"order": {"series": "--order", "verify": "--order",
@@ -176,7 +167,7 @@ def _cmd_series(args) -> int:
     name = SERIES_ALIASES[args.name]
     if args.order < 0:
         raise _UsageError("--order must be >= 0")
-    series = _SOLVERS[name](args.order)
+    series = genfunc.SOLVERS[name](args.order)
     print(json.dumps({"name": name, "order": series.order,
                       "series": series.to_json()}))
     return EXIT_OK

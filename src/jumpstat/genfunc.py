@@ -391,8 +391,12 @@ def solve_K(order: int) -> Series:
 
 # --- verdicts ---------------------------------------------------------------
 
-# ids whose identity the solver itself checks on every solve
-_SELF_CHECKED = {"3": solve_H, "5": solve_Jdepth, "6": solve_K}
+# the one table from series name to solver
+SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
+           "K": solve_K}
+
+# ids whose identity the solver of the named series checks on every solve
+_SELF_CHECKED = {"3": "H", "5": "J", "6": "K"}
 
 
 def verify_theorem(theorem: int | str, order: int,
@@ -420,7 +424,7 @@ def verify_theorem(theorem: int | str, order: int,
         raise ValueError("oracle_cap must be >= 0")
 
     if tid in _SELF_CHECKED:
-        _SELF_CHECKED[tid](order)
+        SOLVERS[_SELF_CHECKED[tid]](order)
         return Verdict(tid, order, True)
     if tid == "2":
         return verify_F_closed_form(order)

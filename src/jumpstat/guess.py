@@ -47,6 +47,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
+from .algebra import _power, _signed_sum
+
 DEFAULT_HOLDOUT = 5
 DEFAULT_MAX_TOTAL_DEGREE = 24
 
@@ -221,24 +223,8 @@ class RationalFunctionN:
 
 
 def _render_poly(coeffs: Sequence[int]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "n" if e == 1 else f"n^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return _signed_sum((coeffs[e], _power("n", e))
+                       for e in reversed(range(len(coeffs))))
 
 
 # --- exact fitting modulo primes --------------------------------------------

@@ -184,6 +184,8 @@ class MomentTable:
     rows: tuple[MomentRow, ...]   # index == n, 0..n_max
 
     def row(self, n: int) -> MomentRow:
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"row n={n} outside 0..n_max={self.n_max}")
         return self.rows[n]
 
     def to_json(self) -> dict:
@@ -246,10 +248,11 @@ def _one_marker_sums(stat: str, max_moment: int, n_max: int) -> list[list[int]]:
         return digits + [0] * (N + 1 - len(digits))
 
     def check(lhs: int, rhs: int, what: str) -> None:
+        # slots are nonnegative and below 2^(w-1), so the lowest set bit
+        # of the difference lies in the first slot where the sides differ
         if lhs != rhs:
-            hit = next(n for n, (a, b) in enumerate(zip(unpacked(lhs),
-                                                        unpacked(rhs)))
-                       if a != b)
+            d = lhs - rhs
+            hit = ((d & -d).bit_length() - 1) // w
             raise SelfCheckError(
                 f"{stat} moment series {what} failed its equation at x^{hit}")
 

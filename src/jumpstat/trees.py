@@ -39,6 +39,9 @@ thousands of vertices deep parse, format, and measure without touching the
 interpreter's recursion limit.  A Node may share a subtree with another
 Node; ``compute_stats`` measures it wherever it occurs, and, like
 ``format_tree``, raises ``TypeError`` on any item that is not a tree.
+Equality and hash go through ``format_tree``: two trees are equal when
+their texts are, however their subtrees are shared, and ``==`` on a
+malformed tree raises ``TypeError`` as ``hash`` does.
 """
 
 from __future__ import annotations
@@ -89,17 +92,7 @@ class Node:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Node, Leaf)):
             return NotImplemented
-        # iterative comparison: deep trees must not recurse
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            a_node, b_node = isinstance(a, Node), isinstance(b, Node)
-            if a_node != b_node:
-                return False
-            if a_node:
-                stack.append((a.left, b.left))
-                stack.append((a.right, b.right))
-        return True
+        return format_tree(self) == format_tree(other)
 
     def __hash__(self) -> int:
         return hash(format_tree(self))
@@ -113,15 +106,8 @@ class Leaf:
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Leaf):
-            return True
-        if isinstance(other, Node):
-            return False
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(".")
+    __eq__ = Node.__eq__
+    __hash__ = Node.__hash__
 
     def __repr__(self) -> str:
         return "LEAF"

@@ -94,6 +94,41 @@ def test_poly_rendering():
     assert str(Poly2.zero()) == "0"
 
 
+# The earlier body of Poly2.__str__, kept as the reference that the shared
+# signed-sum writer must match text for text.
+def _reference_poly_str(self) -> str:
+    parts = []
+    for (et, eq), coeff in self.items():
+        factors = []
+        if et:
+            factors.append("t" if et == 1 else f"t^{et}")
+        if eq:
+            factors.append("q" if eq == 1 else f"q^{eq}")
+        mag = coeff if coeff > 0 else -coeff
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+# zero, a unit, a small magnitude or a 30-digit one, of either sign
+text_coeffs = st.one_of(
+    st.just(0), st.sampled_from([1, -1]), st.integers(-9, 9),
+    st.builds(operator.mul, st.sampled_from([1, -1]),
+              st.integers(10 ** 29, 10 ** 30 - 1)))
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       text_coeffs, max_size=6))
+def test_poly_text_matches_the_reference_writer(terms):
+    p = Poly2(terms)
+    assert str(p) == _reference_poly_str(p)
+
+
 # --- Series ------------------------------------------------------------------
 
 def test_series_mul_truncates_to_smaller_order():

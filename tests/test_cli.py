@@ -114,7 +114,7 @@ def test_solver_failure_exits_1_with_message(capsys, monkeypatch, error):
     def broken(order):
         raise error("series is corrupt")
 
-    monkeypatch.setitem(cli._SOLVERS, "H", broken)
+    monkeypatch.setitem(genfunc.SOLVERS, "H", broken)
     code, out, err = run(capsys, "series", "H", "--order", "4")
     assert code == 1
     assert out == ""

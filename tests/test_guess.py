@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from itertools import islice
@@ -55,6 +56,55 @@ def test_zero_numerator():
     assert rf.degrees() == (-1, 0)
     assert rf.evaluate(17) == 0
     assert rf.render() == "0"
+
+
+# The earlier polynomial writer of RationalFunctionN.render, kept as the
+# reference that the shared signed-sum writer must match text for text.
+def _reference_render_poly(coeffs: Sequence[int]) -> str:
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if not c:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "n" if e == 1 else f"n^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def _reference_render(rf: RationalFunctionN) -> str:
+    num = _reference_render_poly(rf.numerator)
+    den = _reference_render_poly(rf.denominator)
+    if den == "1":
+        return num
+    if len(rf.numerator) > 1:
+        num = f"({num})"
+    if len(rf.denominator) > 1:
+        den = f"({den})"
+    return f"{num}/{den}"
+
+
+# zero, a unit, a small magnitude or a 30-digit one, of either sign
+text_coeffs = st.one_of(
+    st.just(0), st.sampled_from([1, -1]), st.integers(-9, 9),
+    st.builds(operator.mul, st.sampled_from([1, -1]),
+              st.integers(10 ** 29, 10 ** 30 - 1)))
+
+
+@given(st.lists(text_coeffs, max_size=5),
+       st.lists(text_coeffs, min_size=1, max_size=4).filter(any))
+def test_render_matches_the_reference_writer(num, den):
+    rf = RationalFunctionN(num, den)
+    assert rf.render() == _reference_render(rf)
 
 
 def test_zero_denominator_rejected():

@@ -111,6 +111,15 @@ def test_variance_undefined_for_tiny_sizes():
     assert table.row(2).variance_defined
 
 
+@pytest.mark.parametrize("n", [-1, -6, 6])
+def test_row_refuses_a_size_outside_the_table(n):
+    # a negative n must not count from the end of the rows
+    table = moment_table("jumps", 2, 5)
+    with pytest.raises(IndexError, match=rf"^row n={n} outside 0..n_max=5$"):
+        table.row(n)
+    assert [table.row(k).n for k in (0, 5)] == [0, 5]
+
+
 def test_jumpdist_table_small_rows():
     table = moment_table("jumpdist", max_moment=4, n_max=6)
     assert table.row(2).raw_moment(1) == F(1, 2)

@@ -174,6 +174,50 @@ def test_tree_equality_ignores_sharing():
     assert LEAF != parse_tree("[.,.]")
 
 
+# The earlier pairwise walk of Node.__eq__, kept as the reference that
+# equality by text must match on every well-formed pair of trees.
+def _reference_eq(self, other: object) -> bool:
+    if not isinstance(other, (Node, Leaf)):
+        return NotImplemented
+    # iterative comparison: deep trees must not recurse
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        a_node, b_node = isinstance(a, Node), isinstance(b, Node)
+        if a_node != b_node:
+            return False
+        if a_node:
+            stack.append((a.left, b.left))
+            stack.append((a.right, b.right))
+    return True
+
+
+small_trees = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       max_size=4).map(_shared_tree)
+tree_pairs = st.one_of(
+    st.tuples(shared_trees, shared_trees),
+    st.tuples(small_trees, small_trees),
+    shared_trees.map(lambda t: (t, parse_tree(format_tree(t)))))
+
+
+@given(tree_pairs)
+def test_equality_matches_the_reference_walk(pair):
+    a, b = pair
+    assert (a == b) == _reference_eq(a, b)
+    assert (b == a) == _reference_eq(b, a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_equality_refuses_a_malformed_tree_as_hash_does():
+    # the pairwise walk read the None child as a leaf and returned True
+    with pytest.raises(TypeError, match="^not a tree: None$"):
+        hash(Node(None, LEAF))
+    with pytest.raises(TypeError, match="^not a tree: None$"):
+        Node(None, LEAF) == Node(LEAF, LEAF)
+    assert Node(LEAF, LEAF) != "[.,.]" and LEAF != "."
+
+
 def test_deep_combs_do_not_recurse():
     depth = 100_000
     right_comb = "[.," * depth + "." + "]" * depth
