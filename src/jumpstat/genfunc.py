@@ -18,10 +18,14 @@ x*G follow a three-term recurrence (the one behind the Catalan triangle
 for the powers of f), and F is summed as sum(t^d (xG)^d) from it with
 shifts and adds; J is the inverse of its series.
 
-Each solver caches the highest-order series it has solved.  A series of
-order N is its value mod x^(N+1), so an order from 0 to N is a hit, served
-as its prefix and memoised per order; any other order is a miss that runs
-the solver, and a higher one replaces the cached series.
+Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
+tuple of its arguments.  A key that is from 0 up to the cached key in every
+place is a hit, served as ``truncate(*key)`` of the cached value and
+memoised per key; any other key is a miss that builds afresh, and what it
+builds replaces the cached value.  A series of order N is its value mod
+x^(N+1), so a solver, keyed by (order,), serves every lower order as the
+prefix of the highest order it has solved.  ``moments`` caches its tables,
+keyed by (max_moment, n_max), the same way.
 
 Each series satisfies an algebraic identity with a square-root term.  The
 verifiers never divide by marker-bearing denominators: every identity is
@@ -55,10 +59,11 @@ K.  No factor is a zero divisor, so both forms first fail at the same x^m.
 
 from __future__ import annotations
 
+import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
                       fixed_point_solve)
@@ -73,6 +78,7 @@ _ONE_MINUS_Q = 1 - _Q
 
 THEOREM_IDS = ("0", "1", "2", "3", "4", "5", "6")
 _CacheInfo = namedtuple("CacheInfo", "hits misses")
+_Sliceable = TypeVar("_Sliceable")
 
 
 class SelfCheckError(RuntimeError):
@@ -93,10 +99,11 @@ class ResourceCapError(RuntimeError):
 # The largest order each solver accepts; every recorded refusal names its
 # cap, so the caps stay.  A solve at order N holds about N^3/6 terms for F
 # and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
-# bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now H
-# takes 2.3-3.6 s at 200, `verify 6` (f, J, K and checks) 2.2 s at 400,
-# and F 0.2-0.3 s at 120, where its theorem-2 check takes 0.15 s and peaks
-# at 4.3 MB of live memory with F solved (60.5 MB with whole series).
+# bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now f
+# takes 5.1-5.2 s at 2000, H 2.3-3.6 s at 200, `verify 6` (f, J, K and
+# checks) 2.2 s at 400, and F 0.2-0.3 s at 120, where its theorem-2 check
+# takes 0.15 s and peaks at 4.3 MB of live memory with F solved (60.5 MB
+# with whole series).
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
@@ -194,25 +201,33 @@ def jumpdist_radical(order: int) -> Series:
 
 # --- solvers ----------------------------------------------------------------
 
-def _prefix_cached(solve: Callable[[int], Series]) -> Callable[[int], Series]:
-    """``solve`` behind the prefix cache of the module docstring."""
-    cache, hits, misses = {}, 0, 0
+def _prefix_cached(
+        build: Callable[..., _Sliceable]) -> Callable[..., _Sliceable]:
+    """``build`` behind the prefix cache of the module docstring.  Its
+    arguments, bound positionally, are the key; ``truncate(*key)`` of the
+    value built for a covering key must equal ``build(*key)``."""
+    top, cache, hits, misses = None, {}, 0, 0
+    signature = inspect.signature(build)
+    arity = len(signature.parameters)
 
-    @wraps(solve)
-    def cached(order: int) -> Series:
-        nonlocal cache, hits, misses
-        if 0 <= order <= max(cache, default=-1):
+    @wraps(build)
+    def cached(*key, **by_name) -> _Sliceable:
+        nonlocal top, cache, hits, misses
+        if by_name or len(key) != arity:
+            key = signature.bind(*key, **by_name).args
+        if top is not None and all(0 <= k <= t for k, t in zip(key, top)):
             hits += 1
-            if order not in cache:
-                cache[order] = cache[max(cache)].truncate(order)
+            if key not in cache:
+                cache[key] = cache[top].truncate(*key)
         else:
             misses += 1
-            cache = {order: solve(order)}
-        return cache[order]
+            cache = {key: build(*key)}
+            top = key
+        return cache[key]
 
     def cache_clear() -> None:
-        nonlocal cache, hits, misses
-        cache, hits, misses = {}, 0, 0
+        nonlocal top, cache, hits, misses
+        top, cache, hits, misses = None, {}, 0, 0
 
     cached.cache_info = lambda: _CacheInfo(hits, misses)
     cached.cache_clear = cache_clear

@@ -49,12 +49,13 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from operator import mul
 
 from .algebra import Series, _digits, _pack, _slot_width
-from .genfunc import (ResourceCapError, SelfCheckError, _capped, solve_H,
-                      solve_K)
+from .genfunc import (ResourceCapError, SelfCheckError, _capped,
+                      _prefix_cached, solve_H, solve_K)
 from .guess import RationalFunctionN
 from .trees import catalan
 
@@ -74,8 +75,10 @@ MOMENT_CAP = 24
 # The highest order at which a table's power sums are compared with the
 # two-marker series.  Forty covers every table of a paper session (n_max
 # 32 at most) and keeps each cold solve at a few hundredths of a second.
-# The re-guess tables at n_max 29 and 26 slice the order-32 series, so a
-# paper session ends with 2 misses of ``solve_H`` and 1 of ``solve_K``.
+# A paper session ends with 2 misses of ``solve_H`` and 1 of ``solve_K``:
+# its two tables read the order-32 series its identities solved, and its
+# re-guess tables, at moment orders up to 8 and n_max 32, 29 and 26, are
+# slices of those two tables, so they reach no solver.
 CROSS_CHECK_ORDER = 40
 
 STATS = ("jumps", "jumpdist")
@@ -187,6 +190,21 @@ class MomentTable:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"row n={n} outside 0..n_max={self.n_max}")
         return self.rows[n]
+
+    def truncate(self, max_moment: int, n_max: int) -> MomentTable:
+        """The table at a lower moment order or size: rows 0..n_max, each
+        with the moments of order up to max_moment.  No moment depends on
+        the order or size it was tabulated to, so this equals the table
+        built at (max_moment, n_max)."""
+        if not (1 <= max_moment <= self.max_moment
+                and 0 <= n_max <= self.n_max):
+            raise ValueError(
+                f"cannot cut a table of max_moment {self.max_moment} and "
+                f"n_max {self.n_max} to {max_moment} and {n_max}")
+        rows = tuple(MomentRow(row.n, row.count, row.raw[:max_moment],
+                               row.central[:max_moment - 1])
+                     for row in self.rows[: n_max + 1])
+        return MomentTable(self.stat, max_moment, n_max, rows)
 
     def to_json(self) -> dict:
         return {"stat": self.stat, "max_moment": self.max_moment,
@@ -310,6 +328,13 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     own closed form; a mismatch raises SelfCheckError.  A max_moment
     above MOMENT_CAP raises ResourceCapError, and so does an n_max
     above H's or K's ``ORDER_CAPS`` entry, before any work.
+
+    Each statistic keeps the last table it built, in the solvers' prefix
+    cache (``genfunc._prefix_cached``) keyed by (max_moment, n_max).  A
+    request at most that table's max_moment and n_max is a hit, served as
+    its ``truncate`` and memoised, so a repeated request returns the same
+    object; the table covering it passed both checks over the hit's range.
+    Any other request builds afresh and replaces the kept table.
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}, expected one of {STATS}")
@@ -320,7 +345,11 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     if max_moment > MOMENT_CAP:
         raise ResourceCapError("moment", max_moment, MOMENT_CAP, "moment")
     _capped("H" if stat == "jumps" else "K", n_max)
+    return _TABLES[stat](max_moment, n_max)
 
+
+def _build_table(stat: str, max_moment: int, n_max: int) -> MomentTable:
+    """``moment_table`` for admitted arguments, without its cache."""
     # sums[r][n] = sum of value^r over the trees of size n
     sums = _one_marker_sums(stat, max_moment, n_max)
     order = min(n_max, CROSS_CHECK_ORDER)
@@ -342,6 +371,11 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
                         for r, c in enumerate(central[2:], 2)))
         for n, count in enumerate(counts))
     return MomentTable(stat, max_moment, n_max, rows)
+
+
+# statistic -> its table builder behind the prefix cache; ``cache_info()``
+# and ``cache_clear()`` as for the solvers
+_TABLES = {stat: _prefix_cached(partial(_build_table, stat)) for stat in STATS}
 
 
 # --- reference closed forms ---------------------------------------------------

@@ -5,6 +5,8 @@ walking every tree once.  Unit tests use the small sweep (n <= 8); the
 acceptance suite uses the full one (n <= 12) as the brute-force oracle
 for the jump-distance skewness sign.  Both are session-scoped, so each
 is paid for once per run.
+
+Every test starts with no moment table cached (``cold_tables``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from jumpstat import moments
 from jumpstat.trees import enumerate_trees_with_stats
 
 
@@ -24,6 +27,15 @@ def _count_stats(n_max: int) -> dict[int, Counter]:
             acc[st] += 1
         counts[n] = acc
     return counts
+
+
+@pytest.fixture(autouse=True)
+def cold_tables():
+    """Empty every statistic's table cache: a table an earlier test built
+    would serve each request it covers, and the tests that count decodes
+    or inject faults need their table built."""
+    for tables in moments._TABLES.values():
+        tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

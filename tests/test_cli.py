@@ -542,7 +542,8 @@ def test_the_default_caps_admit_every_benchmark_job_and_tier1_size():
 
 # --- byte identity with the benchmark's recorded outputs --------------------
 
-# the benchmark's smoke-test sizes, and every full-size CLI job it records
+# the benchmark's smoke-test sizes, every full-size CLI job it records and
+# the paper session at both sizes
 RECORDED_JOBS = [
     "moments jumps --nmax 8 --max-moment 10 --check --format csv",
     "verify 2 --order 8",
@@ -554,6 +555,8 @@ RECORDED_JOBS = [
     "moments jumps --nmax 40 --max-moment 10 --check --format csv",
     "moments jumpdist --nmax 200 --max-moment 10 --check",
     "guess jumpdist --moment central:10 --n-to 60 --max-total-degree 40",
+    "session tiny",
+    "session full",
 ]
 
 
@@ -562,7 +565,12 @@ def test_cli_output_is_byte_identical_to_the_benchmark_record(job):
     record = json.loads((REPO / "perfbench" / "expected.json").read_text())[job]
     env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
     env["PYTHONPATH"] = str(REPO / "src")
-    proc = subprocess.run([sys.executable, "-m", "jumpstat.cli", *job.split()],
+    argv = job.split()
+    if argv[0] == "session":   # its output is the same for every seed
+        argv = [str(REPO / "perfbench" / "session.py"), argv[1], "7"]
+    else:
+        argv = ["-m", "jumpstat.cli", *argv]
+    proc = subprocess.run([sys.executable, *argv],
                           env=env, cwd=REPO, capture_output=True, timeout=120)
     assert proc.returncode == record["exit"]
     assert hashlib.sha256(proc.stdout).hexdigest() == record["stdout_sha256"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 import tracemalloc
 from math import comb
@@ -506,6 +507,17 @@ def test_prefix_cache_serves_what_the_solver_returns(name, data):
         assert solver.cache_info() == (0, 1)
 
 
+def test_a_solver_binds_its_order_by_name_before_the_lookup():
+    solve_H.cache_clear()
+    top = solve_H(9)
+    assert solve_H(order=9) is top and solve_H(order=4) is solve_H(4)
+    with pytest.raises(TypeError):
+        solve_H()
+    with pytest.raises(TypeError):
+        solve_H(4, order=4)
+    assert solve_H.cache_info() == (3, 1)
+
+
 def test_the_session_ranges_slice_the_order_32_series():
     # a paper session re-guesses at n_max 29 and 26 after its order-32 solves
     for solver in (solve_H, solve_K):
@@ -514,6 +526,17 @@ def test_the_session_ranges_slice_the_order_32_series():
         assert [solver(n) for n in (29, 26)] == [top.truncate(29),
                                                    top.truncate(26)]
         assert solver.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n,term,bad", [(2, Q, "t^0*q^1"),
+                                         (1, T * T, "t^2*q^0")])
+def test_K_refuses_a_depth_series_with_a_bad_term(monkeypatch, n, term, bad):
+    # a q term, or a depth above the size, has no jump distance n - depth
+    J = solve_Jdepth(3) + Series.from_x_coefficients([0] * n + [term], 3)
+    monkeypatch.setattr(genfunc, "solve_Jdepth", lambda order: J)
+    with pytest.raises(SelfCheckError, match=rf"^depth series coefficient "
+                       rf"x\^{n} has a bad term {re.escape(bad)}$"):
+        solve_K.__wrapped__(3)
 
 
 def test_verdict_is_frozen():

@@ -5,13 +5,16 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import le
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpstat import moments
 from jumpstat.algebra import Poly2
-from jumpstat.genfunc import (ResourceCapError, SelfCheckError, solve_H,
-                              solve_Jdepth, solve_K)
+from jumpstat.genfunc import (ORDER_CAPS, SOLVERS, ResourceCapError,
+                              SelfCheckError, solve_H, solve_Jdepth, solve_K)
 from jumpstat.moments import (CROSS_CHECK_ORDER, MOMENT_CAP,
                               REFERENCE_FORMULAS, MomentRow,
                               check_closed_forms, moment_table,
@@ -195,6 +198,101 @@ def test_a_moment_order_above_the_cap_is_refused_before_any_work(
     monkeypatch.undo()
     assert moment_table(stat, max_moment=MOMENT_CAP, n_max=3).max_moment \
         == MOMENT_CAP
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+def test_refusals_come_before_the_table_cache(monkeypatch):
+    # with covering tables cached, a refused request is neither served as
+    # a slice (n_max -1 as no rows) nor looked up nor built
+    for stat in moments.STATS:
+        moment_table(stat, 4, 10)
+    infos = {stat: tables.cache_info()
+             for stat, tables in moments._TABLES.items()}
+    for name in ("_one_marker_sums", "solve_H", "solve_K",
+                 "q_log_derivative_power"):
+        monkeypatch.setattr(moments, name, _never)
+    refused = [(("depth", 4, 5), ValueError,
+                r"^unknown statistic 'depth', expected one of ")]
+    for stat, series in (("jumps", "H"), ("jumpdist", "K")):
+        cap = ORDER_CAPS[series]
+        refused += [
+            ((stat, 4, -1), ValueError, r"^n_max must be >= 0$"),
+            ((stat, 0, 5), ValueError, r"^max_moment must be >= 1$"),
+            ((stat, MOMENT_CAP + 1, 5), ResourceCapError,
+             rf"^moment at order {MOMENT_CAP + 1} exceeds the cap of "
+             rf"order {MOMENT_CAP}$"),
+            ((stat, 4, cap + 1), ResourceCapError,
+             rf"^series {series} at order {cap + 1} exceeds the cap of "
+             rf"order {cap}$")]
+    for args, error, message in refused:
+        with pytest.raises(error, match=message):
+            moment_table(*args)
+        assert {stat: tables.cache_info()
+                for stat, tables in moments._TABLES.items()} == infos, args
+
+
+def _texts(table) -> tuple[str, str, str]:
+    return (table.to_json_text(), table.to_csv(),
+            json.dumps([c.to_json() for c in check_closed_forms(table)]))
+
+
+_BUILT: dict = {}
+
+
+def _built_cold(key: tuple[str, int, int]):
+    """The table built with every table and solver cache cleared, and its
+    JSON, CSV and checks as text."""
+    if key not in _BUILT:
+        for cache in (*moments._TABLES.values(), *SOLVERS.values()):
+            cache.cache_clear()
+        table = moment_table(*key)
+        _BUILT[key] = table, _texts(table)
+    return _BUILT[key]
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_table_cache_serves_what_a_cold_build_returns(data):
+    # a table covered by the last one built for its statistic is served
+    # as its slice, memoised per key until a miss replaces that table;
+    # sizes run past CROSS_CHECK_ORDER
+    pool = data.draw(st.lists(st.tuples(
+        st.sampled_from(moments.STATS), st.integers(1, 10),
+        st.integers(0, CROSS_CHECK_ORDER + 4)), min_size=1, max_size=5))
+    keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    expected = {key: _built_cold(key) for key in keys}
+    for tables in moments._TABLES.values():
+        tables.cache_clear()
+    top, served = {}, {}
+    for key in keys:
+        stat, max_moment, n_max = key
+        tables = moments._TABLES[stat]
+        hits, misses = tables.cache_info()
+        hit = stat in top and all(map(le, (max_moment, n_max), top[stat]))
+        got = moment_table(*key)
+        table, texts = expected[key]
+        assert got == table and _texts(got) == texts
+        assert tables.cache_info() == (hits + hit, misses + (not hit))
+        if key in served:
+            assert got is served[key]
+        if not hit:
+            top[stat] = max_moment, n_max
+            served = {k: v for k, v in served.items() if k[0] != stat}
+        served[key] = got
+
+
+@pytest.mark.parametrize("max_moment,n_max", [(0, 3), (5, 3), (4, -1),
+                                              (4, 7), (5, 7)])
+def test_truncate_refuses_what_the_table_does_not_hold(max_moment, n_max):
+    table = moment_table("jumps", 4, 6)
+    with pytest.raises(ValueError, match=rf"^cannot cut a table of "
+                       rf"max_moment 4 and n_max 6 to {max_moment} and "
+                       rf"{n_max}$"):
+        table.truncate(max_moment, n_max)
+    assert table.truncate(4, 6) == table
 
 
 def test_jumps_closed_forms_all_pass():
