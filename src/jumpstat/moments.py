@@ -1,32 +1,27 @@
 """Exact moment tables for the jump statistics, and their closed forms.
 
-A table rests on the power sums s_r(n) = sum(value^r) over the trees of
-size n.  For a weight series sum(c_n(q) * x^n), with [q^k] c_n the
-number of trees of size n with value k, s_r(n) is the value at q = 1 of
-(q*d/dq)^r c_n.  Differentiating the marker equation at marker = 1
-(Flajolet & Sedgewick, *Analytic Combinatorics*, Section III.2) turns
-these into one-marker integer series in x, solved order by order in r:
+A table rests on the power sums s_r(n) = sum(k^r * row_n[k]), where
+row_n[k] is the number of trees of size n with value k: the x^n
+coefficient of the weight series H(x,q) or K(x,q), read as a list of
+q-coefficients.  Both rows are classical integer distributions, built
+from plain ints without solving a series:
 
-* Jumps.  H = 1 + x*H + q*x*(H - 1)*H, and T_r = sum(s_r(n) * x^n).
-  With T_0 = f, the tree counter, and P_j = sum(C(j,i) * T_i * T_(j-i)),
+* Jumps.  row_n[k] is the Narayana number C(n,k) * C(n,k+1) / n for
+  k < n (and row_0 = [1], the leaf), so row_n starts at 1 and
+  row_n[k+1] = row_n[k] * (n-k-1) * (n-k) / ((k+1) * (k+2)).
+* Jump distance.  row_n is row n of Catalan's triangle: row_0 = row_1 =
+  [1], and from n = 2 on row_n is the running sum of row_(n-1) + [0].
+  A tree of size n >= 1 with rightmost depth d has jump distance n - d,
+  and the ballot numbers d * C(2n-d, n) / (2n-d) count those trees.
 
-      T_r = x * (sum(C(r,j) * (P_j - T_j), j < r)
-                 + sum(C(r,i) * T_i * T_(r-i), 0 < i < r) + 2f * T_r),
-
-  linear in T_r.  As 1 - 2x*f = sqrt(1 - 4x), T_r is the first two sums
-  of the bracket times x * sum(C(2n,n) * x^n) = x / sqrt(1 - 4x).
-* Jump distance.  The depth series J = 1 + x*t*f*J gives the depth power
-  sums D_0 = f and D_k = x*f*(sum(C(k,i) * D_i, i < k) + D_k), that is
-  D_k = (f - 1) * sum(C(k,i) * D_i, i < k).  Jump distance is n - depth.
-
-``moment_table`` checks each of these linear equations exactly, and
+``moment_table`` checks that every row counts catalan(n) trees, and
 compares the sums at small n with ``q_log_derivative_power``, which reads
 them off the two-marker series H or K with one decode of each
 coefficient.  One binomial shift, ``_shifted_sums``, turns the power sums
-s_k of a value v into those of a*v + b: (a*E + b)^r applied to s_0, where
-E shifts s_k to s_(k+1).  It gives jump distance as n - depth, and with
-c = s_0 the tree count, the moment about the mean as one exact quotient
-of integers, mu_r = sum((c*value - s_1)^r) / c^(r+1).  The raw moment is
+s_k of a value v into those of a*v + b: (a*E + b)^r applied to s_0,
+where E shifts s_k to s_(k+1).  With c = s_0 the tree count, it gives
+the moment about the mean as one exact quotient of integers,
+mu_r = sum((c*value - s_1)^r) / c^(r+1).  The raw moment is
 m_r = s_r / c.  A row stores only these two; ``MomentRow.scaled`` divides
 by powers of the variance, even orders as mu_2k / mu_2^k, odd orders as
 the pair (sign of mu_r, mu_r^2 / mu_2^r) so everything stays rational.
@@ -50,10 +45,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb
+from itertools import accumulate
 from operator import mul
 
-from .algebra import Series, _digits, _pack, _slot_width
+from .algebra import Series
 from .genfunc import (ResourceCapError, SelfCheckError, _capped,
                       _prefix_cached, solve_H, solve_K)
 from .guess import RationalFunctionN
@@ -65,11 +60,12 @@ DEFAULT_N_MAX = 60
 # The largest moment order a table accepts.  It was sized when a table
 # solved H or K at n_max: the worst admitted request took about 19 s of
 # CPU, inside the 8-27 s band that sized ``genfunc.ORDER_CAPS``.  From
-# the one-marker series, a table to order 24 took 1.7-3.3 s for jumpdist
-# at n_max 400 (1.0-1.9 s of it power sums, most of the rest the Fraction
-# reduction of its rows) and 0.75-1.3 s for jumps at n_max 200, on a
-# shared 2-vCPU x86 VM.  The cap, and the n caps of H and K that a table
-# still obeys, are kept so that every refusal reads as before.
+# the value rows, a table to order 24 takes 1.2-1.6 s for jumpdist at
+# n_max 400 (0.43 s of it power sums, most of the rest the Fraction
+# reduction of its rows) and 0.2-0.3 s for jumps at n_max 200 (0.1 s
+# of power sums), on a shared 2-vCPU x86 VM.  The cap, and the n caps of
+# H and K that a table still obeys, are kept so that every refusal reads
+# as before.
 MOMENT_CAP = 24
 
 # The highest order at which a table's power sums are compared with the
@@ -101,8 +97,13 @@ def q_log_derivative_power(series: Series, r: int) -> list[list[int]]:
         except ValueError:
             raise ValueError(
                 f"series still carries the t marker at x^{n}: {c}") from None
+    return _power_sums(rows, r)
+
+
+def _power_sums(rows: list[list[int]], r: int) -> list[list[int]]:
+    """sums[j][n] = sum(k^j * rows[n][k]) for j = 0..r, with 0^0 = 1."""
     ks = range(max(map(len, rows)))
-    powers = [1] * len(ks)   # k^j, with 0^0 = 1
+    powers = [1] * len(ks)   # k^j
     sums = []
     for _ in range(r + 1):
         sums.append([sum(map(mul, row, powers)) for row in rows])
@@ -242,66 +243,21 @@ class MomentTable:
         return out.getvalue()
 
 
-def _one_marker_sums(stat: str, max_moment: int, n_max: int) -> list[list[int]]:
-    """sums[r][n] for r <= max_moment and n <= n_max, from the one-marker
-    recurrences of the module docstring.
-
-    Every series is nonnegative and packed into one int, slot n holding
-    [x^n], in one slot width for the table.  That width holds
-    catalan(n_max + 1) * (n_max + 1)^max_moment, a bound on every
-    coefficient at x^0..x^n_max of every product, sum and multiple below
-    (each is at most [x^(n + 1)] of some T_r or D_k), so a product is one
-    bignum multiply cut to n_max + 1 slots by a mask: what spills past
-    the mask never reaches a slot below it.  Each linear equation is
-    checked exactly on the packed ints.
-    """
-    R, N = max_moment, n_max
-    w = _slot_width((catalan(N + 1) * (N + 1) ** R).bit_length())
-    mask = (1 << (w * (N + 1))) - 1
-    binomials = [[comb(r, i) for i in range(r + 1)] for r in range(R + 1)]
-    f = _pack([catalan(n) for n in range(N + 1)], w)
-
-    def unpacked(v: int) -> list[int]:
-        digits = _digits(v, w)
-        return digits + [0] * (N + 1 - len(digits))
-
-    def check(lhs: int, rhs: int, what: str) -> None:
-        # slots are nonnegative and below 2^(w-1), so the lowest set bit
-        # of the difference lies in the first slot where the sides differ
-        if lhs != rhs:
-            d = lhs - rhs
-            hit = ((d & -d).bit_length() - 1) // w
-            raise SelfCheckError(
-                f"{stat} moment series {what} failed its equation at x^{hit}")
-
-    if stat == "jumps":
-        central = _pack([comb(2 * n, n) for n in range(N + 1)], w)
-        T = [f]
-        gaps = [(f * f & mask) - f]     # P_j - T_j, all nonnegative
-        for r in range(1, R + 1):
-            row = binomials[r]
-            # Q_r = sum C(r,i) T_i T_(r-i) over 0 < i < r, each pair once
-            q = 2 * sum(row[i] * (T[i] * T[r - i] & mask)
-                        for i in range(1, (r + 1) // 2))
-            if r % 2 == 0:
-                q += row[r // 2] * (T[r // 2] * T[r // 2] & mask)
-            bracket = sum(map(mul, row, gaps)) + q
-            t = (central * bracket << w) & mask
-            ft = f * t & mask
-            check(t, (bracket + 2 * ft << w) & mask, f"T_{r}")
-            T.append(t)
-            gaps.append(q + 2 * ft - t)
-        return [unpacked(t) for t in T]
-
-    D = [f]
-    for k in range(1, R + 1):
-        below = sum(map(mul, binomials[k], D))
-        d = (f - 1) * below & mask
-        check(d, (f * (below + d) << w) & mask, f"D_{k}")
-        D.append(d)
-    # jumpdist = n - depth
-    return _shifted_sums([unpacked(d) for d in D], [-1] * (N + 1),
-                         list(range(N + 1)))
+def _value_rows(stat: str, n_max: int) -> list[list[int]]:
+    """rows[n][k] = the number of trees of size n with value k, for
+    n <= n_max: Narayana numbers for jumps, Catalan's triangle for jump
+    distance (the module docstring)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        if stat == "jumps":
+            row = [1]
+            for k in range(n - 1):
+                row.append(row[-1] * (n - k - 1) * (n - k)
+                           // ((k + 1) * (k + 2)))
+        else:
+            row = list(accumulate(rows[-1] + [0])) if n > 1 else [1]
+        rows.append(row)
+    return rows
 
 
 def _shifted_sums(sums: list[list[int]], a: list[int],
@@ -321,9 +277,9 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
                  n_max: int = DEFAULT_N_MAX) -> MomentTable:
     """Exact moments of one statistic for every size 0..n_max.
 
-    The power sums come from the one-marker series of the module
-    docstring, each checked against its linear equation.  Up to
-    min(n_max, CROSS_CHECK_ORDER) they are also compared with the
+    The power sums come from the value rows of the module docstring.
+    Every row must count catalan(n) trees, and up to
+    min(n_max, CROSS_CHECK_ORDER) the sums are also compared with the
     two-marker series H or K solved at that order, which verifies its
     own closed form; a mismatch raises SelfCheckError.  A max_moment
     above MOMENT_CAP raises ResourceCapError, and so does an n_max
@@ -351,7 +307,12 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
 def _build_table(stat: str, max_moment: int, n_max: int) -> MomentTable:
     """``moment_table`` for admitted arguments, without its cache."""
     # sums[r][n] = sum of value^r over the trees of size n
-    sums = _one_marker_sums(stat, max_moment, n_max)
+    sums = _power_sums(_value_rows(stat, n_max), max_moment)
+    for n, count in enumerate(sums[0]):
+        if count != catalan(n):
+            raise SelfCheckError(
+                f"{stat} value row at x^{n} counts {count} trees, "
+                f"catalan({n}) is {catalan(n)}")
     order = min(n_max, CROSS_CHECK_ORDER)
     series = solve_H(order) if stat == "jumps" else solve_K(order)
     for r, want in enumerate(q_log_derivative_power(series, max_moment)):

@@ -12,6 +12,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpstat import cli, genfunc, moments
 from jumpstat.cli import main
@@ -585,16 +587,22 @@ def run_recorded(job: str) -> dict:
     while "=" in words[0]:
         var, value = words.pop(0).split("=", 1)
         env[var] = value
+    with mock.patch.dict(os.environ, env, clear=True):
+        code, out, err = run_captured(words)
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.encode()).hexdigest()}
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``cli.main`` run."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), \
-            redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(words)
+            code = main(argv)
         except SystemExit as exc:   # argparse: --help, usage errors
             code = exc.code
-    return {"exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    return code, out.getvalue(), err.getvalue()
 
 
 CLI_RECORD = json.loads((REPO / "tests" / "cli_record.json").read_text())
@@ -603,3 +611,45 @@ CLI_RECORD = json.loads((REPO / "tests" / "cli_record.json").read_text())
 @pytest.mark.parametrize("job", CLI_RECORD)
 def test_cli_output_is_byte_identical_to_its_record(job):
     assert run_recorded(job) == CLI_RECORD[job]
+
+
+# --- the CLI contract -------------------------------------------------------
+
+@st.composite
+def moment_argv(draw) -> list[str]:
+    """argv of ``moments`` or ``guess`` from the edges of their sizes and
+    moment orders."""
+    command = draw(st.sampled_from(["moments", "guess"]))
+    stat = draw(st.sampled_from(moments.STATS))
+    r = draw(st.sampled_from([0, 1, 2, moments.MOMENT_CAP,
+                              moments.MOMENT_CAP + 1]))
+    if command == "moments":
+        argv = [command, stat, "--max-moment", str(r)]
+        argv += draw(st.sampled_from([[], ["--format", "json"],
+                                      ["--format", "csv"]]))
+        argv += draw(st.sampled_from([[], ["--check"]]))
+        admitted, flag = 1 <= r <= moments.MOMENT_CAP, "--nmax"
+    else:
+        kind = draw(st.sampled_from(["raw", "central", "scaled"]))
+        argv = [command, stat, "--moment", f"{kind}:{r}"]
+        admitted = (kind == "raw" or r >= 2) and r <= moments.MOMENT_CAP
+        flag = "--n-to"
+    # a size above 41 only where the request is refused: an admitted one
+    # at the cap costs seconds
+    cap = genfunc.ORDER_CAPS["H" if stat == "jumps" else "K"]
+    sizes = [-1, 0, 1, 2, 41, cap + 1, 10 ** 20] + ([] if admitted else [cap])
+    return argv + [flag, str(draw(st.sampled_from(sizes)))]
+
+
+@given(argv=moment_argv())
+@settings(max_examples=150, deadline=None)
+def test_moments_and_guess_keep_the_cli_contract(argv):
+    caches = [*genfunc.SOLVERS.values(), *moments._TABLES.values()]
+    misses = [cache.cache_info().misses for cache in caches]
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == ""
+    if code == 3:   # refused before any solver or table work
+        assert [cache.cache_info().misses for cache in caches] == misses

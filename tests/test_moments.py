@@ -211,7 +211,7 @@ def test_refusals_come_before_the_table_cache(monkeypatch):
         moment_table(stat, 4, 10)
     infos = {stat: tables.cache_info()
              for stat, tables in moments._TABLES.items()}
-    for name in ("_one_marker_sums", "solve_H", "solve_K",
+    for name in ("_value_rows", "solve_H", "solve_K",
                  "q_log_derivative_power"):
         monkeypatch.setattr(moments, name, _never)
     refused = [(("depth", 4, 5), ValueError,
@@ -503,14 +503,28 @@ def test_edge_tables_match_the_two_marker_series(stat, solve, n_max,
     assert _table_power_sums(table) == [list(col) for col in zip(*want)]
 
 
+@pytest.mark.parametrize("stat,solve", [("jumps", solve_H),
+                                        ("jumpdist", solve_K)])
+def test_value_rows_are_the_q_coefficients_of_the_two_marker_series(
+        stat, solve):
+    # the whole distribution of each size, not only its first power sums
+    assert moments._value_rows(stat, 60) == [
+        c.q_coefficients() for c in solve(60).coefficients()]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("stat,n_max", [("jumps", 200), ("jumpdist", 400)])
-def test_power_sums_at_the_caps_match_the_integer_formulas(stat, n_max):
-    # the worst requests a table admits: the widest slots of the packed
-    # one-marker series
+@pytest.mark.parametrize("stat,solve,n_max", [("jumps", solve_H, 200),
+                                              ("jumpdist", solve_K, 400)])
+def test_power_sums_at_the_caps_match_the_integer_formulas(stat, solve,
+                                                           n_max):
+    # the worst requests a table admits.  The math.comb oracles state the
+    # same closed forms as the value rows; the series solved at the cap
+    # do not
     sums = _table_power_sums(moment_table(stat, MOMENT_CAP, n_max))
     for n, row in enumerate(sums):
         assert row == _FORMULA_SUMS[stat](n, MOMENT_CAP), n
+    want = q_log_derivative_power(solve(n_max), MOMENT_CAP)
+    assert sums == [list(col) for col in zip(*want)]
 
 
 @pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
@@ -529,18 +543,13 @@ def test_a_power_sum_that_disagrees_with_the_two_marker_series_raises(
         moment_table(stat, max_moment=4, n_max=60)
 
 
-# With f wrong at x^b, the residual of D_1 = (f - 1) f is
-# (f - 1 - x f^2) f, nonzero from x^b on.  That of T_1 = x C (f^2 - f),
-# C = sum(C(2n,n) x^n), is x (f^2 - f) (C (1 - 2x f) - 1), whose three
-# factors start at x^1, x^1 and x^(b+1): it is nonzero from x^(b+3) on.
-@pytest.mark.parametrize("stat,lag", [("jumps", 3), ("jumpdist", 0)])
-def test_a_corrupt_recurrence_input_fails_its_equation(monkeypatch, stat,
-                                                       lag):
-    # above the cross-check, so only the equations of the one-marker
-    # series can see it
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_a_row_that_miscounts_its_trees_raises(monkeypatch, stat):
+    # above the cross-check, so only the count check of every row can
+    # see it
     bad = CROSS_CHECK_ORDER + 5
     monkeypatch.setattr(moments, "catalan",
                         lambda n: catalan(n) + (n == bad))
     with pytest.raises(SelfCheckError,
-                       match=rf"_1 failed its equation at x\^{bad + lag}$"):
+                       match=rf"^{stat} value row at x\^{bad} counts "):
         moment_table(stat, max_moment=4, n_max=60)
