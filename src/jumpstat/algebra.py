@@ -43,9 +43,6 @@ in its series' layout; ``Series.__mul__`` picks one layout for all of its
 products.  ``inverse`` and ``sqrt`` fix theirs before the first
 coefficient from an l1 majorant of their recurrences, computed on plain
 ints; ``sqrt`` decodes each coefficient once, to halve it exactly.
-``fixed_point_solve`` re-checks its layout before each coefficient from
-one decode of each coefficient solved so far, and re-packs with room to
-grow: a fixed-point step is opaque, so no majorant of it exists in advance.
 """
 
 from __future__ import annotations
@@ -68,10 +65,11 @@ _ZERO = (-(1 << 40), 0, -(1 << 40), -(1 << 40))
 # a constant 26 against 21 us.
 _FEW_TERMS = 4
 # With no bound on the other side the rule fires on pairs of one-term
-# ints, where decoding costs more than the multiply: f's fixed-point step
-# at 200 pairs took 1.33 ms against 0.39 ms.  Times a one-marker K_n of
-# n + 1 terms by 2q - 2 the two ways were within 10 % up to n = 63, and the
-# shifted adds won from n = 120 (48 against 84 us at 200).
+# ints, where decoding costs more than the multiply: the fixed-point step
+# of f = 1 + x*f^2 at 200 pairs took 1.33 ms against 0.39 ms.  Times a
+# one-marker K_n of n + 1 terms by 2q - 2 the two ways were within 10 %
+# up to n = 63, and the shifted adds won from n = 120 (48 against 84 us
+# at 200).
 _MANY_TERMS = 17
 
 
@@ -176,18 +174,6 @@ def _conv(p: Poly2, w: int, s: int) -> int:
     return _pack(_restride(_digits(p._v, p._w), p._s, s), w)
 
 
-def _relaid(p: Poly2, w: int, s: int) -> Poly2:
-    if p._w == w and p._s == s:
-        return p
-    return Poly2._make(_conv(p, w, s), w, s, p._meta)
-
-
-def _tight(p: Poly2) -> Poly2:
-    """``p`` with the exact bounds of one decode in place of its own."""
-    p._meta = _exact_meta(_digits(p._v, p._w), p._s)
-    return p
-
-
 def _split(v: int) -> tuple[int, int]:
     """(v >> z, z) for the z trailing zero bits of v: a packed int with
     empty low slots multiplies at the size of the rest."""
@@ -202,20 +188,6 @@ def _split_dot(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> 
               default=0)
     return sum((x * y) << (zx + zy - low)
                for (x, zx), (y, zy) in zip(xs, ys) if x and y) << low
-
-
-def _grown(bits: int, qdeg: int, w: int, s: int, n: int,
-           order: int) -> tuple[int, int]:
-    """Layout for step n of an online solve up to ``order`` whose next
-    coefficient needs ``bits`` and q-degree ``qdeg``.  A dimension that
-    falls short grows to twice the need, or to the need scaled from n to
-    the order when that is less, so a solve re-packs a few times, not at
-    every step."""
-    if bits >= w:
-        w = _slot_width(min(2 * bits, bits * (order + 1) // n))
-    if qdeg >= s:
-        s = min(2 * qdeg, qdeg * (order + 1) // n) + 1
-    return w, s
 
 
 def _power(var: str, e: int) -> list[str]:
@@ -696,29 +668,15 @@ def fixed_point_solve(step: Callable[[list[Poly2]], Poly2],
 
     ``step(known)`` receives the list of the n coefficients solved so far
     (x^0 .. x^(n-1)) and returns the x^n coefficient; it must not modify
-    the list.  For an equation S = 1 + x*B(S) the x^n coefficient of
-    x*B(S) reads only x^0 .. x^(n-1), so each coefficient is computed once
-    and never revised (online solving, van der Hoeven 2002).
-
-    Before each step the known coefficients are put in one layout wide
-    enough for the convolution of the prefix with itself, the product a
-    quadratic step takes; the step's own products re-check their bounds.
+    the list.  Each coefficient is computed once and never revised
+    (online solving, van der Hoeven 2002).  Two kinds of step fit: a
+    fixed-point equation S = 1 + x*B(S), whose x^n coefficient of x*B(S)
+    reads only x^0 .. x^(n-1), and a P-recurrence, a linear recurrence in
+    n with polynomial coefficients that reads the last few.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     known: list[Poly2] = []
-    bounds: list[tuple] = []
-    w = s = 0
-    for n in range(order + 1):
-        if known:
-            meta = _dot_meta(bounds, bounds[::-1])
-            last = known[-1]._meta
-            bits, qdeg = max(meta[0], last[0]), max(meta[3], last[3])
-            if bits >= w or qdeg >= s:
-                w, s = _grown(bits, qdeg, w, s, n, order)
-                known = [_relaid(c, w, s) for c in known]
-            else:
-                known[-1] = _relaid(known[-1], w, s)
-        known.append(_tight(step(known)))
-        bounds.append(known[-1]._meta)
+    for _ in range(order + 1):
+        known.append(step(known))
     return Series(known)

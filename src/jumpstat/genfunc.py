@@ -18,6 +18,15 @@ x*G follow a three-term recurrence (the one behind the Catalan triangle
 for the powers of f), and F is summed as sum(t^d (xG)^d) from it with
 shifts and adds; J is the inverse of its series.
 
+f and H are algebraic, so their coefficients are P-recursive: each
+follows from the one or two before it by a linear recurrence in n with
+polynomial coefficients (Stanley 1980; Flajolet & Sedgewick, App. B.4).
+f_n is the Catalan number, (n + 1)*f_n = 2(2n - 1)*f_(n-1), and H_n the
+Narayana polynomial, (n + 1)*H_n = (2n - 1)(1 + q)*H_(n-1) -
+(n - 2)(1 - q)^2*H_(n-2).  ``fixed_point_solve`` steps both on plain
+ints, one call per coefficient.  The two quadratics are the tests'
+reference for them; theorem 3 is H's self-check, and id 0 checks f.
+
 Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
 tuple of its arguments.  A key that is from 0 up to the cached key in every
 place is a hit, served as ``truncate(*key)`` of the cached value and
@@ -68,7 +77,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
                       fixed_point_solve)
 from .trees import (DEFAULT_ENUMERATION_CAP, EnumerationCapError,
-                    brute_force_enumerator, catalan)
+                    _count_note, brute_force_enumerator, catalan)
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -100,8 +109,9 @@ class ResourceCapError(RuntimeError):
 # cap, so the caps stay.  A solve at order N holds about N^3/6 terms for F
 # and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
 # bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now f
-# takes 5.1-5.2 s at 2000, H 2.3-3.6 s at 200, `verify 6` (f, J, K and
-# checks) 2.2 s at 400, and F 0.2-0.3 s at 120, where its theorem-2 check
+# takes 12-14 ms at 2000 (`verify 0` 5-7 s, nearly all its f*f), H 0.09 s
+# at 200 with its theorem-3 check, `verify 6` (f, J, K and checks) 2.2 s
+# at 400, and F 0.2-0.3 s at 120, where its theorem-2 check
 # takes 0.15 s and peaks at 4.3 MB of live memory with F solved (60.5 MB
 # with whole series).
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
@@ -234,19 +244,17 @@ def _prefix_cached(
     return cached
 
 
-def _square_term(S: list[Poly2]) -> Poly2:
-    """x^(n-1) of S^2 from its first n terms, each S_i*S_j (i < j) formed once."""
-    k = len(S) // 2
-    half = dot(S[:k], S[::-1])
-    return half + half + (S[k] * S[k] if len(S) % 2 else 0)
-
-
 @_prefix_cached
 def solve_catalan(order: int) -> Series:
-    """f = 1 + x*f^2, the tree counter.  Coefficients are plain integers."""
+    """f = 1 + x*f^2, the tree counter, whose coefficients are the Catalan
+    numbers: plain integers stepped by (n + 1)*f_n = 2(2n - 1)*f_(n-1)
+    from f_0 = 1.  The quadratic is the tests' reference, and id 0 checks
+    both it and the radical form."""
     _capped("f", order)
     return fixed_point_solve(
-        lambda f: _square_term(f) if f else Poly2.one(), order)
+        lambda f: Poly2.constant(2 * (2 * len(f) - 1) * f[-1].constant_value()
+                                 // (len(f) + 1)) if f else Poly2.one(),
+        order)
 
 
 def _linear_residual(S: Series, d0: Poly2 | int, d1: Poly2 | int, lin: list,
@@ -267,19 +275,33 @@ def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
                             jumps_radical(order))
 
 
+def _narayana_step(H: list[Poly2]) -> Poly2:
+    """H_n from the q-coefficient lists of H_(n-1) and H_(n-2), divided
+    exactly: (n + 1)*H_n = (2n - 1)(1 + q)*H_(n-1) - (n - 2)(1 - q)^2*H_(n-2),
+    with H_0 = H_1 = 1."""
+    n = len(H)
+    if n < 2:
+        return Poly2.one()
+    a = [0, *H[-1].q_coefficients(), 0]
+    b = [0, 0, *H[-2].q_coefficients(), 0, 0]
+    u, v = 2 * n - 1, n - 2
+    return Poly2._packed(
+        [(u * (a[k] + a[k + 1]) - v * (b[k] - 2 * b[k + 1] + b[k + 2]))
+         // (n + 1) for k in range(n)], n)
+
+
 @_prefix_cached
 def solve_H(order: int) -> Series:
-    """H(x,q) = F(x,1,q), trees weighted q^jumps, solved from its own
-    equation H = 1 + x*H + q*x*(H - 1)*H.
+    """H(x,q) = F(x,1,q), trees weighted q^jumps: the Narayana polynomials,
+    stepped by their P-recurrence (``_narayana_step``).  The equation
+    H = 1 + x*H + q*x*(H - 1)*H is the tests' reference.
 
-    Verified against its own closed form before being returned; failure
-    means the solver stack is broken, so it raises instead of returning.
+    Verified against its own closed form, theorem 3, before being
+    returned; failure means the solver stack is broken, so it raises
+    instead of returning.
     """
     _capped("H", order)
-    # x^n of x*H*((1 - q) + q*H) reads H only up to x^(n-1)
-    H = fixed_point_solve(
-        lambda H: (H[-1] * _ONE_MINUS_Q + _square_term(H) * _Q) if H
-        else Poly2.one(), order)
+    H = fixed_point_solve(_narayana_step, order)
     return _self_checked(H, _theorem3_residual(H, order), "jumps")
 
 
@@ -453,7 +475,7 @@ def verify_theorem(theorem: int | str, order: int,
         upto = min(order, oracle_cap)
         if upto > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"oracle size {upto} ({catalan(upto)} trees) exceeds the "
+                f"oracle size {upto}{_count_note(upto)} exceeds the "
                 f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
                 f"at most {DEFAULT_ENUMERATION_CAP}")
         F = solve_F(order)

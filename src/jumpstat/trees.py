@@ -231,11 +231,22 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+# A refusal writes the tree count of the size it refuses up to this size,
+# a count of 57 digits; past it the count would be long, and at sizes near
+# 10^5 slow to compute and past the interpreter's limit to print.
+_COUNTED_SIZE = 100
+
+
+def _count_note(n: int) -> str:
+    """`` (Cat(n) trees)`` for a size whose count is short, else ``""``."""
+    return f" ({catalan(n)} trees)" if n <= _COUNTED_SIZE else ""
+
+
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise EnumerationCapError(
-            f"enumeration of size {n} exceeds the cap of {cap} "
-            f"({catalan(n)} trees); raise the cap explicitly to proceed")
+            f"enumeration of size {n} exceeds the cap of {cap}"
+            f"{_count_note(n)}; raise the cap explicitly to proceed")
 
 
 def enumerate_trees(n: int, cap: int = STREAMING_CAP) -> Iterator[Node | Leaf]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from jumpstat import cli, genfunc, moments
 from jumpstat.cli import main
-from jumpstat.trees import catalan
+from jumpstat.trees import DEFAULT_ENUMERATION_CAP, STREAMING_CAP, catalan
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -653,3 +653,103 @@ def test_moments_and_guess_keep_the_cli_contract(argv):
         assert out == ""
     if code == 3:   # refused before any solver or table work
         assert [cache.cache_info().misses for cache in caches] == misses
+
+
+_VALID_TREES = [".", "[.,.]", "[[.,.],.]", "[.,[.,.]]", "[[.,.],[.,.]]"]
+
+
+@st.composite
+def edited_tree(draw) -> str:
+    """A valid tree text, kept or with one character deleted, inserted or
+    replaced."""
+    text = draw(st.sampled_from(_VALID_TREES))
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from("[].,x ١"))
+    return draw(st.sampled_from([text, text[:i] + text[i + 1:],
+                                 text[:i] + c + text[i:],
+                                 text[:i] + c + text[i + 1:]]))
+
+
+def _sizes(cap: int, admitted_max: int) -> list[int]:
+    """-1, 0, 1, 2, the cap, cap + 1 and 10^20, less the admitted sizes
+    above ``admitted_max``, which would cost more than a unit test may."""
+    return [n for n in (-1, 0, 1, 2, cap, cap + 1, 10 ** 20)
+            if n <= admitted_max or n > cap]
+
+
+# defaults no flag accepts: not integers, not a choice, or negative
+_BAD_ENV = ["x", "", "1.5", "²", "0x10", "-1"]
+_ENV_FLAGS = ["CAP", "ORDER", "ORACLE_CAP", "MAX_MOMENT", "NMAX", "FORMAT",
+              "N_FROM", "N_TO", "HOLDOUT", "MAX_TOTAL_DEGREE", "STAT"]
+
+
+@st.composite
+def other_argv(draw) -> tuple[list[str], dict[str, str]]:
+    """argv of ``stats``, ``enumerate``, ``series``, ``verify`` and
+    ``limits``, or of ``guess`` with a non-ASCII moment order, and at most
+    one bad ``JUMPSTAT_*`` default."""
+    command = draw(st.sampled_from(["stats", "enumerate", "series", "verify",
+                                    "limits", "guess"]))
+    if command == "stats":
+        argv = [command, draw(edited_tree())]
+    elif command == "enumerate":
+        cap = draw(st.sampled_from([None, -1, 0, 1, 2, STREAMING_CAP,
+                                    STREAMING_CAP + 1, 10 ** 20]))
+        n = draw(st.sampled_from(_sizes(STREAMING_CAP if cap is None else cap,
+                                        6)))
+        argv = [command, str(n)] + ([] if cap is None else ["--cap", str(cap)])
+        argv += draw(st.sampled_from([[], ["--with-stats"]]))
+    elif command == "series":
+        name = draw(st.sampled_from(sorted(cli.SERIES_ALIASES)))
+        cap = genfunc.ORDER_CAPS[cli.SERIES_ALIASES[name]]
+        order = draw(st.sampled_from([None, *_sizes(cap, 2)]))
+        argv = [command, name] + ([] if order is None else
+                                  ["--order", str(order)])
+    elif command == "verify":
+        theorem = draw(st.sampled_from([*genfunc.THEOREM_IDS, "7"]))
+        cap = genfunc.ORDER_CAPS[{"0": "f", "1": "F", "2": "F", "3": "H",
+                                  "4": "J", "5": "J", "6": "K"}.get(theorem, "f")]
+        argv = [command, theorem, "--order",
+                str(draw(st.sampled_from(_sizes(cap, 2))))]
+        # the oracle enumerates min(order, oracle cap) <= 2 when admitted
+        oracle = draw(st.sampled_from([None, *_sizes(DEFAULT_ENUMERATION_CAP,
+                                                     8)]))
+        argv += [] if oracle is None else ["--oracle-cap", str(oracle)]
+    elif command == "limits":
+        argv = [command] + draw(st.sampled_from(
+            [[], ["--stat", "all"], ["--stat", "jumps"], ["--stat", "x"]]))
+    else:
+        spec = draw(st.sampled_from(["raw:١", "raw:²", "central:٣",
+                                     "scaled:⁴", "raw:１", "mean:١"]))
+        n_to = draw(st.sampled_from([-1, 0, 1, 2, 12, 10 ** 20]))
+        argv = [command, draw(st.sampled_from(moments.STATS)), "--moment",
+                spec, "--n-to", str(n_to)]
+    env = draw(st.sampled_from([{}, *({f"JUMPSTAT_{flag}": value}
+                                      for flag in _ENV_FLAGS
+                                      for value in _BAD_ENV)]))
+    return argv, env
+
+
+@given(case=other_argv())
+@settings(max_examples=200, deadline=None)
+def test_every_other_subcommand_keeps_the_cli_contract(case):
+    argv, env = case
+    tables = list(moments._TABLES.values())
+    solvers = list(genfunc.SOLVERS.values())
+    table_misses = [cache.cache_info().misses for cache in tables]
+    solver_misses = sum(cache.cache_info().misses for cache in solvers)
+    clean = {k: v for k, v in os.environ.items()
+             if not k.startswith("JUMPSTAT_")}
+    with mock.patch.dict(os.environ, {**clean, **env}, clear=True):
+        code, out, err = run_captured(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == ""
+    if code == 3:
+        # refused before any work: no table is built, and a solver counts
+        # only the one call that its own first line, the cap check,
+        # refuses as a miss (``_prefix_cached`` counts every non-prefix)
+        assert [cache.cache_info().misses for cache in tables] == table_misses
+        assert sum(cache.cache_info().misses
+                   for cache in solvers) - solver_misses <= 1

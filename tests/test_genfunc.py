@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from jumpstat import genfunc
 from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta,
-                              _slot_width)
+                              _slot_width, dot, fixed_point_solve)
 from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
                               catalan_radical, inner_radicand,
                               jumpdist_radical, jumps_radical,
@@ -103,6 +103,46 @@ def _check_narayana_H(order: int) -> None:
 
 def test_solve_H_coefficients_are_narayana_numbers():
     _check_narayana_H(100)
+
+
+def _square_term(S: list[Poly2]) -> Poly2:
+    """x^(n-1) of S^2 from its first n terms, each S_i*S_j (i < j) formed once."""
+    k = len(S) // 2
+    half = dot(S[:k], S[::-1])
+    return half + half + (S[k] * S[k] if len(S) % 2 else 0)
+
+
+def _repacked(p: Poly2) -> Poly2:
+    # exact bounds: the dots' upper bounds would compound from step to
+    # step, and the products widen with them
+    return Poly2(dict(p.items()))
+
+
+# the quadratic equations the solvers' recurrences come from, each solved
+# as a fixed point; x^n of x*H*((1 - q) + q*H) reads H only up to x^(n-1)
+_QUADRATIC_STEPS = {
+    "f": lambda f: _repacked(_square_term(f)) if f else Poly2.one(),
+    "H": lambda H: _repacked(H[-1] * (1 - Q) + _square_term(H) * Q) if H
+    else Poly2.one(),
+}
+
+
+def _check_quadratic(name: str, order: int) -> None:
+    # f = 1 + x*f^2 and H = 1 + x*H + q*x*(H - 1)*H, term for term, and
+    # every stored bound of the solved series is exact
+    solved = genfunc.SOLVERS[name].__wrapped__(order)
+    reference = fixed_point_solve(_QUADRATIC_STEPS[name], order)
+    assert solved.order == reference.order == order
+    for n, (c, r) in enumerate(zip(solved.coefficients(),
+                                   reference.coefficients())):
+        assert c == r, n
+        assert c._meta == _exact_meta(_digits(c._v, c._w), c._s), n
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 60])
+@pytest.mark.parametrize("name", ["f", "H"])
+def test_f_and_H_recurrences_match_their_quadratic_equations(name, order):
+    _check_quadratic(name, order)
 
 
 def _ballot(n: int, d: int) -> int:
@@ -278,6 +318,19 @@ def test_F_satisfies_its_closed_form_at_its_order_cap():
     assert verify_theorem("2", order) == Verdict("2", order, True)
 
 
+@pytest.mark.slow
+def test_H_matches_its_quadratic_equation_at_its_order_cap():
+    _check_quadratic("H", genfunc.ORDER_CAPS["H"])
+
+
+@pytest.mark.slow
+def test_f_satisfies_identity_0_at_its_order_cap():
+    # the fixed-point half squares f with Series.__mul__, which shares
+    # nothing with the recurrence
+    order = genfunc.ORDER_CAPS["f"]
+    assert verify_theorem("0", order) == Verdict("0", order, True)
+
+
 @pytest.mark.parametrize(
     "solver", [solve_catalan, solve_F, solve_H, solve_Jdepth, solve_K])
 def test_solver_coefficients_are_ints(solver):
@@ -369,6 +422,15 @@ def test_oracle_size_above_the_ceiling_is_refused_before_any_work(monkeypatch):
     monkeypatch.undo()
     # the ceiling bounds the enumerated size, min(order, oracle_cap)
     assert verify_theorem("1", 5, oracle_cap=17).passed
+
+
+def test_a_huge_oracle_size_is_refused_without_its_tree_count():
+    # Cat(10^20) cannot be computed: the refusal leaves the count out
+    with pytest.raises(EnumerationCapError) as refused:
+        verify_theorem("1", 10**20, oracle_cap=10**20)
+    assert str(refused.value) == (
+        f"oracle size {10**20} exceeds the ceiling of 16; --oracle-cap must "
+        "be at most 16")
 
 
 def test_a_negative_oracle_cap_is_refused_before_any_work(monkeypatch):

@@ -311,6 +311,27 @@ def test_enumeration_cap_refuses_early():
     assert sum(1 for _ in enumerate_trees(5, cap=5)) == 42
 
 
+@pytest.mark.parametrize("n", [10**5, 10**7, 10**20])
+def test_a_huge_size_is_refused_without_its_tree_count(n):
+    # Cat(10^20) cannot be computed, and Cat(10^5) has too many digits to
+    # print; the refusal compares with the cap and writes no count
+    message = f"size {n} exceeds the cap of 13; raise"
+    with pytest.raises(EnumerationCapError, match=message):
+        next(enumerate_trees(n))
+    with pytest.raises(EnumerationCapError, match=f"size {n} exceeds"):
+        brute_force_enumerator(n)
+
+
+@pytest.mark.parametrize("n, note", [
+    (100, f" ({catalan(100)} trees)"), (101, "")])
+def test_a_refusal_writes_the_tree_count_only_where_it_is_short(n, note):
+    with pytest.raises(EnumerationCapError) as refused:
+        next(enumerate_trees(n, cap=n - 1))
+    assert str(refused.value) == (
+        f"enumeration of size {n} exceeds the cap of {n - 1}{note}; raise "
+        "the cap explicitly to proceed")
+
+
 def test_stats_routes_agree(stat_counts_small):
     # enumeration composes stats from children; compute_stats walks each
     # tree from scratch; they must agree everywhere
