@@ -27,6 +27,13 @@ Narayana polynomial, (n + 1)*H_n = (2n - 1)(1 + q)*H_(n-1) -
 ints, one call per coefficient.  The two quadratics are the tests'
 reference for them; theorem 3 is H's self-check, and id 0 checks f.
 
+K_n has row n of Catalan's triangle as its q-coefficients: the ballot
+numbers, which count the trees of size n by jump distance, stepped by
+running sums on plain ints (``_value_rows``, which the moment tables
+read too).  K is checked by theorem 6 at every order, and up to
+x^CROSS_CHECK_ORDER (40) against J by the complement rule jumpdist =
+internal - depth, so J is solved at most to that order for K.
+
 Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
 tuple of its arguments.  A key that is from 0 up to the cached key in every
 place is a hit, served as ``truncate(*key)`` of the cached value and
@@ -72,6 +79,7 @@ import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
@@ -110,11 +118,22 @@ class ResourceCapError(RuntimeError):
 # and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
 # bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now f
 # takes 12-14 ms at 2000 (`verify 0` 5-7 s, nearly all its f*f), H 0.09 s
-# at 200 with its theorem-3 check, `verify 6` (f, J, K and checks) 2.2 s
-# at 400, and F 0.2-0.3 s at 120, where its theorem-2 check
-# takes 0.15 s and peaks at 4.3 MB of live memory with F solved (60.5 MB
-# with whole series).
+# at 200 with its theorem-3 check, `verify 6` (K, its checks and J at 40)
+# 0.25-0.4 s at 400 in a fresh process, and F 0.2-0.3 s at 120, where its
+# theorem-2 check takes 0.15 s and peaks at 4.3 MB of live memory with F
+# solved (60.5 MB with whole series).
 ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
+
+
+# The highest order at which a series is compared with a second
+# construction of it: K with the complement of J, and a moment table's
+# power sums with H or K.  Forty covers every table of a paper session
+# (n_max 32 at most) and keeps each cold solve of J at a few hundredths
+# of a second.  A paper session ends with 2 misses of ``solve_H`` and 1
+# of ``solve_K``: its two tables read the order-32 series its identities
+# solved, and its re-guess tables, at moment orders up to 8 and n_max 32,
+# 29 and 26, are slices of those two tables, so they reach no solver.
+CROSS_CHECK_ORDER = 40
 
 
 def _capped(name: str, order: int) -> None:
@@ -270,9 +289,12 @@ def _linear_residual(S: Series, d0: Poly2 | int, d1: Poly2 | int, lin: list,
 
 
 def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
-    # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1
-    return _linear_residual(H, 0, 2 * _Q, [-1, _ONE_MINUS_Q],
-                            jumps_radical(order))
+    # 2qx*H + (-qx + R + x - 1), R = sqrt(inner radicand) at t=1.  With
+    # no x^0 factor, x^n reads H_(n-1) only, so the residual runs to
+    # x^(order+1), over H padded with a zero, to read H_order too
+    return _linear_residual(Series([*H.coefficients(), Poly2.zero()]), 0,
+                            2 * _Q, [-1, _ONE_MINUS_Q],
+                            jumps_radical(order + 1))
 
 
 def _narayana_step(H: list[Poly2]) -> Poly2:
@@ -397,19 +419,45 @@ def _theorem6_residual(K: Series, order: int) -> Iterator[Poly2]:
                             jumpdist_radical(order))
 
 
+def _value_rows(stat: str, n_max: int) -> list[list[int]]:
+    """rows[n][k] = the number of trees of size n with value k, for
+    n <= n_max, on plain ints: the Narayana numbers by their product rule
+    for jumps, Catalan's triangle by running sums for jump distance (the
+    ``moments`` module docstring)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        if stat == "jumps":
+            row = [1]
+            for k in range(n - 1):
+                row.append(row[-1] * (n - k - 1) * (n - k)
+                           // ((k + 1) * (k + 2)))
+        else:
+            row = list(accumulate(rows[-1] + [0])) if n > 1 else [1]
+        rows.append(row)
+    return rows
+
+
 @_prefix_cached
 def solve_K(order: int) -> Series:
-    """K(x,q), trees weighted q^jumpdist.
+    """K(x,q), trees weighted q^jumpdist: the x^n coefficient has row n of
+    Catalan's triangle (``_value_rows``) as its q-coefficients.
 
-    Built from the depth series by the complement rule
+    Verified against its closed form, theorem 6, before return, and up to
+    x^CROSS_CHECK_ORDER against the depth series J by the complement rule
     jumpdist = internal - depth: the x^n coefficient sum(a_d * t^d) of J
-    becomes sum(a_d * q^(n-d)).  Exponents out of range mean the depth
-    series is corrupt.  Verified against its closed form before return.
+    gives the row with a_d at q^(n-d).  Exponents out of range mean the
+    depth series is corrupt.
     """
     _capped("K", order)
-    J = solve_Jdepth(order)
-    coeffs = []
-    for n, poly in enumerate(J.coefficients()):
+    rows = _value_rows("jumpdist", order)
+    # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
+    # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule
+    # adds 4 bits, 2q - 2's stored bound, and 2 for the 4 term pairs, as
+    # bits(K_(n-1)) and bits(r_n) are at most bits(K_n) + 2 to order 400
+    K = Series([Poly2._packed(row, n + 1, 6) for n, row in enumerate(rows)])
+    _self_checked(K, _theorem6_residual(K, order), "jump-distance")
+    J = solve_Jdepth(min(order, CROSS_CHECK_ORDER))
+    for n, (poly, want) in enumerate(zip(J.coefficients(), rows)):
         row = [0] * (n + 1)
         for (et, eq), v in poly.items():
             if eq != 0 or et > n:
@@ -417,13 +465,11 @@ def solve_K(order: int) -> Series:
                     f"depth series coefficient x^{n} has a bad term "
                     f"t^{et}*q^{eq}")
             row[n - et] = v
-        # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
-        # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule
-        # adds 4 bits, 2q - 2's stored bound, and 2 for the 4 term pairs,
-        # as bits(K_(n-1)) and bits(r_n) are at most bits(K_n) + 2 to order 400
-        coeffs.append(Poly2._packed(row, n + 1, 6))
-    K = Series(coeffs)
-    return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
+        if row != want + [0] * (n + 1 - len(want)):
+            raise SelfCheckError(
+                f"jump-distance series coefficient x^{n} differs from the "
+                f"complement of the depth series")
+    return K
 
 
 # --- verdicts ---------------------------------------------------------------
@@ -432,8 +478,11 @@ def solve_K(order: int) -> Series:
 SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
            "K": solve_K}
 
-# ids whose identity the solver of the named series checks on every solve
-_SELF_CHECKED = {"3": "H", "5": "J", "6": "K"}
+# the series each id solves at its order
+_SERIES = {"0": "f", "1": "F", "2": "F", "3": "H", "4": "J", "5": "J",
+           "6": "K"}
+# ids whose identity the solver of their series checks on every solve
+_SELF_CHECKED = ("3", "5", "6")
 
 
 def verify_theorem(theorem: int | str, order: int,
@@ -460,8 +509,16 @@ def verify_theorem(theorem: int | str, order: int,
     if oracle_cap < 0:
         raise ValueError("oracle_cap must be >= 0")
 
+    upto = min(order, oracle_cap)
+    if tid == "1" and upto > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"oracle size {upto}{_count_note(upto)} exceeds the "
+            f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
+            f"at most {DEFAULT_ENUMERATION_CAP}")
+    _capped(_SERIES[tid], order)
+
     if tid in _SELF_CHECKED:
-        SOLVERS[_SELF_CHECKED[tid]](order)
+        SOLVERS[_SERIES[tid]](order)
         return Verdict(tid, order, True)
     if tid == "2":
         return verify_F_closed_form(order)
@@ -472,12 +529,6 @@ def verify_theorem(theorem: int | str, order: int,
                              _linear_residual(f, 0, 2, [-1],
                                               catalan_radical(order)))
     elif tid == "1":
-        upto = min(order, oracle_cap)
-        if upto > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"oracle size {upto}{_count_note(upto)} exceeds the "
-                f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
-                f"at most {DEFAULT_ENUMERATION_CAP}")
         F = solve_F(order)
         # the cap was asked for explicitly, so it doubles as the refusal cap
         hit = _first_failure(

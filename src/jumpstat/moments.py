@@ -45,12 +45,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from operator import mul
 
 from .algebra import Series
-from .genfunc import (ResourceCapError, SelfCheckError, _capped,
-                      _prefix_cached, solve_H, solve_K)
+from .genfunc import (CROSS_CHECK_ORDER, ResourceCapError, SelfCheckError,
+                      _capped, _prefix_cached, _value_rows, solve_H, solve_K)
 from .guess import RationalFunctionN
 from .trees import catalan
 
@@ -67,15 +66,6 @@ DEFAULT_N_MAX = 60
 # H and K that a table still obeys, are kept so that every refusal reads
 # as before.
 MOMENT_CAP = 24
-
-# The highest order at which a table's power sums are compared with the
-# two-marker series.  Forty covers every table of a paper session (n_max
-# 32 at most) and keeps each cold solve at a few hundredths of a second.
-# A paper session ends with 2 misses of ``solve_H`` and 1 of ``solve_K``:
-# its two tables read the order-32 series its identities solved, and its
-# re-guess tables, at moment orders up to 8 and n_max 32, 29 and 26, are
-# slices of those two tables, so they reach no solver.
-CROSS_CHECK_ORDER = 40
 
 STATS = ("jumps", "jumpdist")
 
@@ -241,23 +231,6 @@ class MomentTable:
                     record += ["", ""] if v is None else [v[0], str(v[1])]
             writer.writerow(record)
         return out.getvalue()
-
-
-def _value_rows(stat: str, n_max: int) -> list[list[int]]:
-    """rows[n][k] = the number of trees of size n with value k, for
-    n <= n_max: Narayana numbers for jumps, Catalan's triangle for jump
-    distance (the module docstring)."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        if stat == "jumps":
-            row = [1]
-            for k in range(n - 1):
-                row.append(row[-1] * (n - k - 1) * (n - k)
-                           // ((k + 1) * (k + 2)))
-        else:
-            row = list(accumulate(rows[-1] + [0])) if n > 1 else [1]
-        rows.append(row)
-    return rows
 
 
 def _shifted_sums(sums: list[list[int]], a: list[int],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -439,6 +440,51 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
         assert trace["spans"][span]["calls"] >= 1, span
 
 
+def _benchmark_workloads() -> dict:
+    """``WORKLOADS`` of perfbench/run.py, imported read-only.  run.py
+    imports its sibling modules by bare name, so perfbench/ is on sys.path
+    for the import only, and the modules loaded from there are dropped."""
+    bench = REPO / "perfbench"
+    before = set(sys.modules)
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      bench / "run.py")
+        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        return run.WORKLOADS
+    finally:
+        sys.path.remove(str(bench))
+        for name in set(sys.modules) - before:
+            if Path(getattr(sys.modules[name], "__file__", None) or
+                    "").parent == bench:
+                del sys.modules[name]
+
+
+def test_every_workload_records_the_spans_it_requires(tmp_path):
+    # a traced benchmark run fails when a required span records no call;
+    # the tiny jobs, traced as the benchmark traces them, must cover them
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    out = tmp_path / "trace.json"
+    for name, workload in _benchmark_workloads().items():
+        called = set()
+        for job in workload.tiny:
+            if job.is_cli:
+                argv = [REPO / "perfbench" / "tracer.py", out, *job.argv]
+            else:
+                argv = [REPO / "perfbench" / "session.py", job.argv[1], "7",
+                        out]
+            out.unlink(missing_ok=True)
+            proc = subprocess.run([sys.executable, *argv], env=env, cwd=REPO,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == job.exit, (job.argv, proc.stderr)
+            called |= {span for span, agg in
+                       json.loads(out.read_text())["spans"].items()
+                       if agg["calls"]}
+        assert not set(workload.layers) - called, name
+
+
 @pytest.mark.slow
 def test_benchmark_selftest_passes():
     # every workload's tiny jobs, untraced and traced: every span the
@@ -747,9 +793,8 @@ def test_every_other_subcommand_keeps_the_cli_contract(case):
     if code in (2, 3):
         assert out == ""
     if code == 3:
-        # refused before any work: no table is built, and a solver counts
-        # only the one call that its own first line, the cap check,
-        # refuses as a miss (``_prefix_cached`` counts every non-prefix)
+        # refused before any work: no table is built and no solver is
+        # called, so no cache counts a miss
         assert [cache.cache_info().misses for cache in tables] == table_misses
         assert sum(cache.cache_info().misses
-                   for cache in solvers) - solver_misses <= 1
+                   for cache in solvers) == solver_misses

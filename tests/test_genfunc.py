@@ -601,6 +601,95 @@ def test_K_refuses_a_depth_series_with_a_bad_term(monkeypatch, n, term, bad):
         solve_K.__wrapped__(3)
 
 
+@pytest.mark.parametrize("order, checked", [(200, 40), (12, 12)])
+def test_K_reads_the_depth_series_only_up_to_the_cross_check(
+        monkeypatch, order, checked):
+    orders = []
+
+    def spy(n):
+        orders.append(n)
+        return solve_Jdepth(n)
+
+    monkeypatch.setattr(genfunc, "solve_Jdepth", spy)
+    solve_K.__wrapped__(order)
+    assert orders == [checked]
+
+
+def test_a_catalan_triangle_row_above_the_cross_check_fails_theorem_6(
+        monkeypatch):
+    # J no longer sees x^100, so only the closed form can
+    rows = genfunc._value_rows
+
+    def corrupt(stat, n_max):
+        out = rows(stat, n_max)
+        out[100][7] += 1
+        return out
+
+    monkeypatch.setattr(genfunc, "_value_rows", corrupt)
+    with pytest.raises(SelfCheckError, match=r"^jump-distance series failed "
+                       r"its closed form at x\^100: "):
+        solve_K.__wrapped__(200)
+
+
+def test_a_wrong_depth_coefficient_fails_the_cross_check(monkeypatch):
+    # well-formed, so only the comparison of the rows can see it
+    J = solve_Jdepth(40) + Series.from_x_coefficients([0] * 5 + [T * T], 40)
+    monkeypatch.setattr(genfunc, "solve_Jdepth", J.truncate)
+    with pytest.raises(SelfCheckError, match=r"^jump-distance series "
+                       r"coefficient x\^5 differs from the complement of the "
+                       r"depth series$"):
+        solve_K.__wrapped__(200)
+
+
+# id: its series' solver, the (e_t, e_q) exponents of the single terms
+# added at x^m, and how many powers later its check first fails: 1 where
+# the form has no x^0 factor (d0 = 0), so x^m reads the series at x^(m-1)
+_FAULTS = {
+    "0": (solve_catalan, lambda m: [(0, 0)], 0),
+    "2": (solve_F, lambda m: [(a, b) for a in range(m + 1)
+                              for b in range(m + 1 - a)], 0),
+    "3": (solve_H, lambda m: [(0, b) for b in range(m + 1)], 1),
+    "5": (solve_Jdepth, lambda m: [(a, 0) for a in range(m + 1)], 0),
+    "6": (solve_K, lambda m: [(0, b) for b in range(m + 1)], 0),
+}
+
+
+def _named_power(monkeypatch, theorem: str, wrong: Series,
+                 order: int) -> int | None:
+    """The x-power that id ``theorem`` names as the first failure of
+    ``wrong``: its verdict's for ids 0 and 2, its solver's SelfCheckError's
+    for the self-checked ids; None if it passes."""
+    solver = _FAULTS[theorem][0]
+    with monkeypatch.context() as patched:
+        if theorem in ("0", "2"):
+            patched.setattr(genfunc, solver.__name__, lambda n: wrong)
+            failure = verify_theorem(theorem, order).first_failure
+            return failure and failure.n
+        name = f"_theorem{theorem}_residual"
+        residual = getattr(genfunc, name)
+        patched.setattr(genfunc, name, lambda S, n: residual(wrong, n))
+        try:
+            solver.__wrapped__(order)
+        except SelfCheckError as error:
+            return int(re.search(r" at x\^(\d+): ", str(error))[1])
+    return None
+
+
+@pytest.mark.parametrize("theorem, order", [("0", 12), ("2", 6), ("3", 12),
+                                            ("5", 12), ("6", 12)])
+def test_every_check_names_the_first_power_a_single_term_breaks(
+        monkeypatch, theorem, order):
+    # up to x^order included: a check must read every coefficient it returns
+    solver, exponents, lag = _FAULTS[theorem]
+    series = solver(order)
+    for m in range(order + 1):
+        for et, eq in exponents(m):
+            wrong = series + Series.from_x_coefficients(
+                [0] * m + [Poly2.term(1, et=et, eq=eq)], order)
+            assert _named_power(monkeypatch, theorem, wrong,
+                                order) == m + lag, (m, et, eq)
+
+
 def test_verdict_is_frozen():
     verdict = Verdict("0", 4, True)
     with pytest.raises(AttributeError):
