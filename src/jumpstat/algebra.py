@@ -669,10 +669,10 @@ def fixed_point_solve(step: Callable[[list[Poly2]], Poly2],
     ``step(known)`` receives the list of the n coefficients solved so far
     (x^0 .. x^(n-1)) and returns the x^n coefficient; it must not modify
     the list.  Each coefficient is computed once and never revised
-    (online solving, van der Hoeven 2002).  Two kinds of step fit: a
-    fixed-point equation S = 1 + x*B(S), whose x^n coefficient of x*B(S)
-    reads only x^0 .. x^(n-1), and a P-recurrence, a linear recurrence in
-    n with polynomial coefficients that reads the last few.
+    (online solving, van der Hoeven 2002).  A step may read all of them,
+    for a fixed-point equation S = 1 + x*B(S), as x^n of x*B(S) reads only
+    x^0 .. x^(n-1); the last few, for a P-recurrence in n; or only their
+    count n, for a table of coefficients built ahead.
     """
     if order < 0:
         raise ValueError("order must be >= 0")

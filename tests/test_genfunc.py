@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpstat import genfunc
+from jumpstat import algebra, genfunc
 from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta,
                               _slot_width, dot, fixed_point_solve)
 from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
@@ -402,6 +402,15 @@ def test_verify_theorem_low_orders(theorem, order):
     assert verify_theorem(theorem, order).passed
 
 
+def test_every_solver_refuses_a_negative_order_alike():
+    refusals = set()
+    for solver in genfunc.SOLVERS.values():
+        with pytest.raises(Exception) as refused:
+            solver(-1)
+        refusals.add((type(refused.value), str(refused.value)))
+    assert refusals == {(ValueError, "order must be >= 0")}
+
+
 def test_verify_theorem_accepts_ints_and_rejects_junk():
     assert verify_theorem(0, 5).passed
     with pytest.raises(ValueError):
@@ -615,9 +624,8 @@ def test_K_reads_the_depth_series_only_up_to_the_cross_check(
     assert orders == [checked]
 
 
-def test_a_catalan_triangle_row_above_the_cross_check_fails_theorem_6(
-        monkeypatch):
-    # J no longer sees x^100, so only the closed form can
+def _corrupt_row_100(monkeypatch) -> None:
+    """Patch ``genfunc._value_rows`` to add 1 at x^100 q^7 of its rows."""
     rows = genfunc._value_rows
 
     def corrupt(stat, n_max):
@@ -626,9 +634,43 @@ def test_a_catalan_triangle_row_above_the_cross_check_fails_theorem_6(
         return out
 
     monkeypatch.setattr(genfunc, "_value_rows", corrupt)
+
+
+def test_a_catalan_triangle_row_above_the_cross_check_fails_theorem_6(
+        monkeypatch):
+    # J no longer sees x^100, so only the closed form can
+    _corrupt_row_100(monkeypatch)
     with pytest.raises(SelfCheckError, match=r"^jump-distance series failed "
                        r"its closed form at x\^100: "):
         solve_K.__wrapped__(200)
+
+
+def test_a_narayana_row_above_the_cross_check_fails_theorem_3(monkeypatch):
+    # theorem 3's x^n reads H_(n-1), so the bad row 100 fails at x^101
+    _corrupt_row_100(monkeypatch)
+    with pytest.raises(SelfCheckError, match=r"^jumps series failed its "
+                       r"closed form at x\^101: "):
+        solve_H.__wrapped__(200)
+
+
+def test_theorem_3_keeps_every_coefficient_of_H_in_its_layout(monkeypatch):
+    # x^n of the residual is the dot of (H_(n-1), r_n) with (2q, 1), whose
+    # width-rule bound H_n's spare bits hold, so no H_n is re-packed; H is
+    # t-free, so only its slot width could change
+    H = solve_H.__wrapped__(200)
+    own = {id(c) for c in H.coefficients()}
+    conv, seen, moved = algebra._conv, [], []
+
+    def spy(p, w, s):
+        if id(p) in own:
+            seen.append(p)
+            if p._v and p._w != w:
+                moved.append(p)
+        return conv(p, w, s)
+
+    monkeypatch.setattr(algebra, "_conv", spy)
+    assert genfunc._first_failure(genfunc._theorem3_residual(H, 200)) is None
+    assert len(seen) >= 200 and not moved
 
 
 def test_a_wrong_depth_coefficient_fails_the_cross_check(monkeypatch):
