@@ -17,14 +17,19 @@ on plain ints (``genfunc._value_rows``, which H and K are packed from):
 ``moment_table`` checks that every row counts catalan(n) trees, and
 compares the sums at small n with ``q_log_derivative_power``, which reads
 them off the two-marker series H or K with one decode of each
-coefficient.  One binomial shift, ``_shifted_sums``, turns the power sums
+coefficient.  The power sums come from suffix sums of each row, which
+give the binomial moments sum(C(k, i) * row_n[k]) by additions alone,
+and the Stirling numbers of the second kind, which turn those into
+powers.  One binomial shift, ``_shifted_sums``, turns the power sums
 s_k of a value v into those of a*v + b: (a*E + b)^r applied to s_0,
-where E shifts s_k to s_(k+1).  With c = s_0 the tree count, it gives
-the moment about the mean as one exact quotient of integers,
-mu_r = sum((c*value - s_1)^r) / c^(r+1).  The raw moment is
-m_r = s_r / c.  A row stores only these two; ``MomentRow.scaled`` divides
-by powers of the variance, even orders as mu_2k / mu_2^k, odd orders as
-the pair (sign of mu_r, mu_r^2 / mu_2^r) so everything stays rational.
+where E shifts s_k to s_(k+1).  With c = s_0 the tree count and
+p/q = s_1/c the mean in lowest terms (q is 1 or 2 for jumps and at most
+n + 2 for jump distance), it gives the moment about the mean as one
+exact quotient of integers, mu_r = sum((q*value - p)^r) / (c * q^r).
+The raw moment is m_r = s_r / c.  A row stores only these two;
+``MomentRow.scaled`` divides by powers of the variance, even orders as
+mu_2k / mu_2^k, odd orders as the pair (sign of mu_r, mu_r^2 / mu_2^r)
+so everything stays rational, each built as one quotient of integers.
 Where mu_2 = 0 (sizes 0 and 1) the scaled columns are undefined.
 
 ``REFERENCE_FORMULAS`` holds the nine closed forms the tables are checked
@@ -45,6 +50,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from operator import mul
 
 from .algebra import Series
@@ -59,12 +65,14 @@ DEFAULT_N_MAX = 60
 # The largest moment order a table accepts.  It was sized when a table
 # solved H or K at n_max: the worst admitted request took about 19 s of
 # CPU, inside the 8-27 s band that sized ``genfunc.ORDER_CAPS``.  From
-# the value rows, a table to order 24 takes 1.2-1.6 s for jumpdist at
-# n_max 400 (0.43 s of it power sums, most of the rest the Fraction
-# reduction of its rows) and 0.2-0.3 s for jumps at n_max 200 (0.1 s
-# of power sums), on a shared 2-vCPU x86 VM.  The cap, and the n caps of
-# H and K that a table still obeys, are kept so that every refusal reads
-# as before.
+# the value rows, a table to order 24 takes 0.19-0.21 s for jumpdist at
+# n_max 400 (0.1 s of it power sums, the rest the shift about the mean
+# and the Fractions of its rows) and 0.05-0.06 s for jumps at n_max 200
+# (0.02-0.04 s of power sums), in one process on a shared 2-vCPU x86 VM;
+# ``moments jumpdist --nmax 400 --max-moment 24 --check`` takes
+# 0.37-0.41 s of CPU as a fresh process there.  The cap, and the n caps
+# of H and K that a table still obeys, are kept so that every refusal
+# reads as before.
 MOMENT_CAP = 24
 
 STATS = ("jumps", "jumpdist")
@@ -91,14 +99,24 @@ def q_log_derivative_power(series: Series, r: int) -> list[list[int]]:
 
 
 def _power_sums(rows: list[list[int]], r: int) -> list[list[int]]:
-    """sums[j][n] = sum(k^j * rows[n][k]) for j = 0..r, with 0^0 = 1."""
-    ks = range(max(map(len, rows)))
-    powers = [1] * len(ks)   # k^j
-    sums = []
-    for _ in range(r + 1):
-        sums.append([sum(map(mul, row, powers)) for row in rows])
-        powers = list(map(mul, powers, ks))
-    return sums
+    """sums[j][n] = sum(k^j * rows[n][k]) for j = 0..r, with 0^0 = 1.
+
+    By additions only, each row gives its binomial moments
+    b_i = sum(C(k, i) * row[k]): b_i is the (i+1)-th suffix sum of the
+    row at index i.  Then k^j = sum(S(j, i) * i! * C(k, i)), with S the
+    Stirling numbers of the second kind, turns them into power sums."""
+    onto = [[1]]   # onto[j][i] = S(j, i) * i!, the maps of j onto i things
+    for _ in range(r):
+        prev = onto[-1] + [0]
+        onto.append([i * (prev[i] + prev[i - 1]) for i in range(len(prev))])
+    binomial = []
+    for row in rows:
+        tail, b = row[::-1], []   # reversed, so suffix sums are prefix sums
+        for _ in range(r + 1):
+            tail = list(accumulate(tail))
+            b.append(tail.pop() if tail else 0)
+        binomial.append(b)
+    return [[sum(map(mul, s, b)) for b in binomial] for s in onto]
 
 
 @dataclass(frozen=True)
@@ -127,10 +145,11 @@ class MomentRow:
         for odd r; None where mu_2 is 0 or r is not tabulated."""
         if not (self.variance_defined and 2 <= r <= len(self.central) + 1):
             return None
-        mu2, mu = self.central[0], self.central[r - 2]
+        c, d = self.central[0].as_integer_ratio()
+        a, b = self.central[r - 2].as_integer_ratio()
         if r % 2 == 0:
-            return mu / mu2 ** (r // 2)
-        return (mu > 0) - (mu < 0), mu ** 2 / mu2 ** r
+            return Fraction(a * d ** (r // 2), b * c ** (r // 2))
+        return (a > 0) - (a < 0), Fraction(a * a * d ** r, b * b * c ** r)
 
     @property
     def scaled_even(self) -> dict[int, Fraction]:
@@ -296,13 +315,16 @@ def _build_table(stat: str, max_moment: int, n_max: int) -> MomentTable:
                     f"{stat} power sum s_{r} at x^{n} is {got}, the "
                     f"two-marker series gives {expected}")
 
-    # mu_r = central[r][n] / count^(r+1): central[r][n] sums
-    # (count * value - s_1)^r over the trees of size n
+    # with the mean p/q in lowest terms, mu_r = central[r][n] / (count *
+    # q^r): central[r][n] sums (q * value - p)^r over the trees of size n
     counts = sums[0]
-    central = _shifted_sums(sums, counts, [-s1 for s1 in sums[1]])
+    means = [Fraction(s1, count) for s1, count in zip(sums[1], counts)]
+    central = _shifted_sums(sums, [m.denominator for m in means],
+                            [-m.numerator for m in means])
     rows = tuple(
-        MomentRow(n, count, tuple(Fraction(s[n], count) for s in sums[1:]),
-                  tuple(Fraction(c[n], count ** (r + 1))
+        MomentRow(n, count,
+                  (means[n], *(Fraction(s[n], count) for s in sums[2:])),
+                  tuple(Fraction(c[n], count * means[n].denominator ** r)
                         for r, c in enumerate(central[2:], 2)))
         for n, count in enumerate(counts))
     return MomentTable(stat, max_moment, n_max, rows)

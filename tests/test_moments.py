@@ -5,10 +5,10 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from operator import le
+from operator import le, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpstat import moments
@@ -421,6 +421,26 @@ def test_scaled_values_of_the_wrong_parity_or_order_are_none():
     assert row1.value("scaled", 2) is None
 
 
+_NONZERO = st.fractions().filter(bool)
+
+
+@given(mu2=_NONZERO.map(abs),
+       rest=st.lists(st.one_of(st.just(F(0)), _NONZERO),
+                     max_size=MOMENT_CAP - 2))
+@example(mu2=F(3, 7), rest=[F(0), F(-5, 2), F(0)])
+@settings(max_examples=80, deadline=None)
+def test_scaled_columns_match_their_fraction_definition(mu2, rest):
+    row = MomentRow(0, 1, (), (mu2, *rest))
+    for r, mu in enumerate((mu2, *rest), 2):
+        got = row.scaled(r)
+        if r % 2 == 0:
+            assert got == mu / mu2 ** (r // 2) and type(got) is Fraction
+        else:
+            sign, value = got
+            assert type(sign) is int and sign == (mu > 0) - (mu < 0)
+            assert value == mu ** 2 / mu2 ** r and type(value) is Fraction
+
+
 @pytest.mark.parametrize("a,b", [(1, 0), (-1, 7), (3, -5), (-2, -3)])
 def test_shifted_sums_match_the_direct_power_sums(a, b):
     # one column per value list, repeated values and negatives included
@@ -435,32 +455,75 @@ def test_shifted_sums_match_the_direct_power_sums(a, b):
                    for r in range(MOMENT_CAP + 1)]
 
 
+@given(rows=st.lists(st.lists(st.integers(), max_size=30), min_size=1,
+                     max_size=30),
+       r=st.integers(0, MOMENT_CAP))
+@example(rows=[[], [7], [-3], [0, -1, 2**70]], r=MOMENT_CAP)
+@settings(max_examples=60, deadline=None)
+def test_power_sums_match_their_definition(rows, r):
+    assert moments._power_sums(rows, r) == [
+        [sum(k ** j * a for k, a in enumerate(row)) for row in rows]
+        for j in range(r + 1)]
+
+
 # --- power sums against integer formulas ----------------------------------
 
-def _narayana_sums(n: int, r_max: int) -> list[int]:
-    """sum(k^r * N(n, k)) for r = 0..r_max: a tree of size n >= 1 has k
-    jumps for N(n, k) = C(n, k) C(n, k+1) / n of its shapes, the Narayana
-    numbers."""
+def _narayana_counts(n: int) -> dict[int, int]:
+    """{k: N(n, k)}: a tree of size n >= 1 has k jumps for
+    N(n, k) = C(n, k) C(n, k+1) / n of its shapes, the Narayana numbers.
+    The leaf has 0 jumps."""
     if n == 0:
-        return [1] + [0] * r_max   # the leaf: 0 jumps, and 0^0 = 1
-    counts = [comb(n, k) * comb(n, k + 1) // n for k in range(n)]
-    return [sum(k ** r * c for k, c in enumerate(counts))
+        return {0: 1}
+    return {k: comb(n, k) * comb(n, k + 1) // n for k in range(n)}
+
+
+def _ballot_counts(n: int) -> dict[int, int]:
+    """{n - d: b(n, d)}: a tree of size n >= 1 has rightmost depth d, so
+    jump distance n - d, for the ballot number
+    b(n, d) = d C(2n - d, n) / (2n - d) of its shapes."""
+    if n == 0:
+        return {0: 1}
+    return {n - d: d * comb(2 * n - d, n) // (2 * n - d)
+            for d in range(1, n + 1)}
+
+
+def _narayana_sums(n: int, r_max: int) -> list[int]:
+    """sum(k^r * N(n, k)) for r = 0..r_max, with 0^0 = 1."""
+    return [sum(v ** r * c for v, c in _narayana_counts(n).items())
             for r in range(r_max + 1)]
 
 
 def _ballot_sums(n: int, r_max: int) -> list[int]:
-    """sum((n - d)^r * b(n, d)) for r = 0..r_max: a tree of size n >= 1
-    has rightmost depth d, so jump distance n - d, for the ballot number
-    b(n, d) = d C(2n - d, n) / (2n - d) of its shapes."""
-    if n == 0:
-        return [1] + [0] * r_max
-    counts = {n - d: d * comb(2 * n - d, n) // (2 * n - d)
-              for d in range(1, n + 1)}
-    return [sum(v ** r * c for v, c in counts.items())
+    """sum((n - d)^r * b(n, d)) for r = 0..r_max, with 0^0 = 1."""
+    return [sum(v ** r * c for v, c in _ballot_counts(n).items())
             for r in range(r_max + 1)]
 
 
 _FORMULA_SUMS = {"jumps": _narayana_sums, "jumpdist": _ballot_sums}
+_FORMULA_COUNTS = {"jumps": _narayana_counts, "jumpdist": _ballot_counts}
+
+
+def _count_shift_central(counts: dict[int, int], r_max: int) -> list[F]:
+    """mu_r for r = 2..r_max as sum(m * (c*v - s_1)^r) / c^(r+1), with c
+    the tree count, s_1 the first power sum and m the count of value v:
+    the central moments without reducing the mean first."""
+    c = sum(counts.values())
+    s1 = sum(v * m for v, m in counts.items())
+    deviations = [c * v - s1 for v in counts]
+    terms = [m * d for m, d in zip(counts.values(), deviations)]
+    out = []
+    for r in range(2, r_max + 1):
+        terms = list(map(mul, terms, deviations))
+        out.append(F(sum(terms), c ** (r + 1)))
+    return out
+
+
+def _assert_central_matches_the_count_shift(stat: str, max_moment: int,
+                                            n_max: int) -> None:
+    table = moment_table(stat, max_moment, n_max)
+    for n, row in enumerate(table.rows):
+        want = _count_shift_central(_FORMULA_COUNTS[stat](n), max_moment)
+        assert list(row.central) == want, n
 
 
 def _table_power_sums(table) -> list[list[int]]:
@@ -481,6 +544,33 @@ def test_integer_formulas_match_the_enumerated_power_sums(stat_counts_small):
                 values[getattr(stats, stat)] += mult
             assert formula(n, 4) == [sum(m * v ** r for v, m in values.items())
                                      for r in range(5)], (stat, n)
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_central_moments_match_the_count_shift_to_n_200(stat):
+    # far above the enumerator, which stops at n = 12
+    _assert_central_matches_the_count_shift(stat, 10, 200)
+
+
+@pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
+def test_central_shift_multiplies_by_the_reduced_mean_only(monkeypatch,
+                                                           stat):
+    # the shift scales each value by the denominator of the mean in
+    # lowest terms, (n - 1)/2 or n(n - 1)/(n + 2), not by the tree count,
+    # so its sums stay small
+    multipliers = []
+    shifted = moments._shifted_sums
+
+    def spy(sums, a, b):
+        multipliers.append(a)
+        return shifted(sums, a, b)
+
+    monkeypatch.setattr(moments, "_shifted_sums", spy)
+    moment_table(stat, 10, 200)
+    assert len(multipliers) == 1
+    assert len(multipliers[0]) == 201
+    for n, q in enumerate(multipliers[0]):
+        assert 1 <= q <= (2 if stat == "jumps" else n + 2), (n, q)
 
 
 @pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
@@ -525,6 +615,12 @@ def test_power_sums_at_the_caps_match_the_integer_formulas(stat, solve,
         assert row == _FORMULA_SUMS[stat](n, MOMENT_CAP), n
     want = q_log_derivative_power(solve(n_max), MOMENT_CAP)
     assert sums == [list(col) for col in zip(*want)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stat,n_max", [("jumps", 200), ("jumpdist", 400)])
+def test_central_moments_at_the_caps_match_the_count_shift(stat, n_max):
+    _assert_central_matches_the_count_shift(stat, MOMENT_CAP, n_max)
 
 
 @pytest.mark.parametrize("stat", ["jumps", "jumpdist"])
