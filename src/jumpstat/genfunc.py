@@ -72,12 +72,10 @@ K.  No factor is a zero divisor, so both forms first fail at the same x^m.
 
 from __future__ import annotations
 
-import inspect
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import wraps
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .algebra import (Poly2, Series, _pack, _slot_width, dot,
                       fixed_point_solve)
@@ -140,8 +138,7 @@ def _capped(name: str, order: int) -> None:
                                "order")
 
 
-@dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(NamedTuple):
     """Lowest x-index where an identity's residual is nonzero."""
 
     n: int
@@ -151,8 +148,7 @@ class FirstFailure:
         return {"n": self.n, "residual_terms": self.residual.to_json_terms()}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     theorem: str
     order: int
     passed: bool
@@ -230,18 +226,22 @@ def jumpdist_radical(order: int) -> Series:
 
 def _prefix_cached(
         build: Callable[..., _Sliceable]) -> Callable[..., _Sliceable]:
-    """``build`` behind the prefix cache of the module docstring.  Its
-    arguments, bound positionally, are the key; ``truncate(*key)`` of the
-    value built for a covering key must equal ``build(*key)``."""
+    """``build``, a function or a ``functools.partial`` of one, behind the
+    prefix cache of the module docstring.  Its arguments, bound
+    positionally, are the key; ``truncate(*key)`` of the value built for a
+    covering key must equal ``build(*key)``.  The arity is read from the
+    code object; only a call by name or of the wrong arity binds through
+    ``inspect``, which raises the ``TypeError`` of a bad call."""
     top, cache, hits, misses = None, {}, 0, 0
-    signature = inspect.signature(build)
-    arity = len(signature.parameters)
+    arity = (getattr(build, "func", build).__code__.co_argcount
+             - len(getattr(build, "args", ())))
 
     @wraps(build)
     def cached(*key, **by_name) -> _Sliceable:
         nonlocal top, cache, hits, misses
         if by_name or len(key) != arity:
-            key = signature.bind(*key, **by_name).args
+            from inspect import signature
+            key = signature(build).bind(*key, **by_name).args
         if top is not None and all(0 <= k <= t for k, t in zip(key, top)):
             hits += 1
             if key not in cache:

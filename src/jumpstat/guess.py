@@ -42,10 +42,9 @@ results are deterministic for a given point set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import _power, _signed_sum
 
@@ -130,8 +129,7 @@ def _cleared(num: Sequence[Fraction], den: Sequence[Fraction]
     return [int(c * scale) for c in num], [int(c * scale) for c in den]
 
 
-@dataclass(frozen=True)
-class Limit:
+class Limit(NamedTuple):
     """Behavior of a rational function of n as n grows without bound."""
 
     kind: str  # "zero" | "finite" | "divergent"
@@ -530,8 +528,7 @@ def fit_rational(points: Iterable, deg_num: int,
         return candidate
 
 
-@dataclass(frozen=True)
-class GuessResult:
+class GuessResult(NamedTuple):
     formula: RationalFunctionN
     degrees: tuple[int, int]
     fit_points: int

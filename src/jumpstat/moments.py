@@ -47,11 +47,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Series
 from .genfunc import (CROSS_CHECK_ORDER, ResourceCapError, SelfCheckError,
@@ -119,8 +119,7 @@ def _power_sums(rows: list[list[int]], r: int) -> list[list[int]]:
     return [[sum(map(mul, s, b)) for b in binomial] for s in onto]
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     count: int
     raw: tuple[Fraction, ...]                       # m_1 .. m_R
@@ -189,8 +188,7 @@ class MomentRow:
         }
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     stat: str
     max_moment: int
     n_max: int
@@ -337,8 +335,7 @@ _TABLES = {stat: _prefix_cached(partial(_build_table, stat)) for stat in STATS}
 
 # --- reference closed forms ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ReferenceFormula:
+class ReferenceFormula(NamedTuple):
     """One tabulated closed form for a moment column.
 
     kind is "raw", "central", "scaled" (even r, mu_r / mu_2^(r/2)) or
@@ -391,8 +388,7 @@ REFERENCE_FORMULAS: tuple[ReferenceFormula, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     """Outcome of comparing one reference formula against a table."""
 
     tag: str

@@ -15,7 +15,6 @@ as tabulated, so the discrepancy stays on record.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -282,8 +281,8 @@ def test_criterion_8_falsification_sensitivity(acceptance_report,
     table = moment_table("jumps", max_moment=2, n_max=12)
 
     # one changed reference-formula coefficient fails its check
-    broken = dataclasses.replace(
-        REFS["7.1"], formula=RationalFunctionN((-1, 2), (2,)))
+    broken = REFS["7.1"]._replace(
+        formula=RationalFunctionN((-1, 2), (2,)))
     patched = tuple(broken if ref.tag == "7.1" else ref
                     for ref in REFERENCE_FORMULAS)
     with monkeypatch.context() as mp:
@@ -295,9 +294,8 @@ def test_criterion_8_falsification_sensitivity(acceptance_report,
 
     # one corrupted table entry fails exactly the column it sits in
     rows = list(table.rows)
-    rows[7] = dataclasses.replace(rows[7],
-                                  central=(rows[7].central[0] + 1,))
-    corrupted = dataclasses.replace(table, rows=tuple(rows))
+    rows[7] = rows[7]._replace(central=(rows[7].central[0] + 1,))
+    corrupted = table._replace(rows=tuple(rows))
     checks = {c.tag: c for c in check_closed_forms(corrupted)}
     table_ok = (not checks["7.2"].passed
                 and checks["7.2"].first_mismatch_n == 7

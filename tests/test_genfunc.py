@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpstat import algebra, genfunc
+from jumpstat import algebra, genfunc, moments
 from jumpstat.algebra import (Poly2, Series, _digits, _exact_meta,
                               _slot_width, dot, fixed_point_solve)
-from jumpstat.genfunc import (FirstFailure, SelfCheckError, Verdict,
-                              catalan_radical, inner_radicand,
+from jumpstat.genfunc import (SOLVERS, FirstFailure, SelfCheckError,
+                              Verdict, catalan_radical, inner_radicand,
                               jumpdist_radical, jumps_radical,
                               printed_radicand, solve_catalan, solve_F,
                               solve_H, solve_Jdepth, solve_K,
@@ -587,6 +587,26 @@ def test_a_solver_binds_its_order_by_name_before_the_lookup():
     with pytest.raises(TypeError):
         solve_H(4, order=4)
     assert solve_H.cache_info() == (3, 1)
+
+
+# every builder behind the prefix cache, with its arguments' names in order
+@pytest.mark.parametrize("builder,names", [
+    *[(solver, ("order",)) for solver in SOLVERS.values()],
+    *[(table, ("max_moment", "n_max")) for table in moments._TABLES.values()],
+], ids=[*SOLVERS, *moments._TABLES])
+def test_a_cached_builder_binds_by_name_as_a_call_would(builder, names):
+    args = (4, 5)[-len(names):]
+    top = builder(*args)
+    assert builder(**dict(zip(names, args))) is top
+    # the first argument by position, the rest by name
+    assert builder(args[0], **dict(zip(names[1:], args[1:]))) is top
+    info = builder.cache_info()
+    for bad_args, bad_names in [((), {}), (args, {"bogus": 1}),
+                                ((*args, 6), {}),
+                                (args, {names[0]: args[0]})]:
+        with pytest.raises(TypeError):
+            builder(*bad_args, **bad_names)
+    assert builder.cache_info() == info
 
 
 def test_the_session_ranges_slice_the_order_32_series():

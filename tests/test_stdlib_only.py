@@ -3,17 +3,24 @@
 Every module under ``src/jumpstat`` imports only modules of the standard
 library (``sys.stdlib_module_names``) and of its own package, by relative
 or absolute import.  Imports inside functions count too.
+
+A start-up guard: importing the package, or running a CLI command, loads
+neither ``dataclasses`` nor ``inspect``, which together with ``ast``,
+``dis`` and ``tokenize`` cost a fresh process several milliseconds.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jumpstat"
+SLOW_TO_IMPORT = ("dataclasses", "inspect")
 
 
 def foreign_imports(source: str, package: str = "jumpstat") -> list[str]:
@@ -54,3 +61,19 @@ def test_lint_allows_the_standard_library_and_the_package():
               "from fractions import Fraction\nfrom . import moments\n"
               "from .algebra import Poly2\nimport jumpstat.trees\n")
     assert foreign_imports(source) == []
+
+
+@pytest.mark.parametrize("code", [
+    "import jumpstat",
+    "import jumpstat.cli",
+    "import contextlib, os, jumpstat.cli\n"
+    "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+    "    jumpstat.cli.main(['verify', '2', '--order', '4'])",
+], ids=["package", "cli", "verify"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(code):
+    check = ("\nimport sys\n"
+             f"print(*[m for m in {SLOW_TO_IMPORT!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code + check], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
