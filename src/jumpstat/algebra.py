@@ -305,14 +305,6 @@ class Poly2:
             raise ValueError(f"not a constant polynomial: {self}")
         return self._v
 
-    def degree_t(self) -> int:
-        """Largest t-exponent, or -1 for the zero polynomial."""
-        return _exact_meta(_digits(self._v, self._w), self._s)[2] if self._v else -1
-
-    def degree_q(self) -> int:
-        """Largest q-exponent, or -1 for the zero polynomial."""
-        return _exact_meta(_digits(self._v, self._w), self._s)[3] if self._v else -1
-
     def __bool__(self) -> bool:
         return bool(self._v)
 

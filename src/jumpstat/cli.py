@@ -167,7 +167,6 @@ def _cmd_series(args) -> int:
     name = SERIES_ALIASES[args.name]
     if args.order < 0:
         raise _UsageError("--order must be >= 0")
-    genfunc._capped(name, args.order)
     series = genfunc.SOLVERS[name](args.order)
     print(json.dumps({"name": name, "order": series.order,
                       "series": series.to_json()}))

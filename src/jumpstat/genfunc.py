@@ -32,20 +32,21 @@ with J by the complement rule jumpdist = internal - depth, so J is
 solved at most to that order for K.
 
 Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
-tuple of its arguments.  A key that is from 0 up to the cached key in every
+tuple of its arguments, which refuses a negative order or one above
+``ORDER_CAPS`` before counting it.  A key up to the cached key in every
 place is a hit, served as ``truncate(*key)`` of the cached value and
-memoised per key; any other key is a miss that builds afresh, and what it
-builds replaces the cached value.  A series of order N is its value mod
-x^(N+1), so a solver, keyed by (order,), serves every lower order as the
-prefix of the highest order it has solved.  ``moments`` caches its tables,
-keyed by (max_moment, n_max), the same way.
+memoised per key; any other key is a miss that builds afresh and replaces
+the cached value.  A series of order N is its value mod x^(N+1), so a
+solver serves every lower order as the prefix of the highest it has
+solved.  ``moments`` caches its tables by (max_moment, n_max) the same way.
 
 Each series satisfies an algebraic identity with a square-root term.  The
-verifiers never divide by marker-bearing denominators: every identity is
-cross-multiplied into the form (d0 + d1*x)*S + lin + radical = 0, exact at
-any order.  Its x^n coefficient is one ``dot`` of (S_n, S_(n-1), lin_n +
-radical_n) with (d0, d1, 1), computed when read, and a check reads up to
-the first nonzero one, so no residual series is built.
+verifiers never divide by marker-bearing denominators.  Ids 2, 3, 5 and 6
+and id 0's radical half are read lazily: each is cross-multiplied into the
+form (d0 + d1*x)*S + lin + radical = 0, whose x^n coefficient is one
+``dot`` of (S_n, S_(n-1), lin_n + radical_n) with (d0, d1, 1), computed
+when read up to the first nonzero one.  Id 0's fixed-point half, ids 1
+and 4, and id 2's radicand factorisation build whole residual series.
 
 ``verify_theorem`` runs the identity for one of the ids 0..6 and returns a
 machine-readable Verdict.  Ids 3, 5 and 6 report the self-checks of the
@@ -73,7 +74,7 @@ K.  No factor is a zero divisor, so both forms first fail at the same x^m.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import wraps
+from functools import partial, wraps
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -132,10 +133,12 @@ ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 CROSS_CHECK_ORDER = 40
 
 
-def _capped(name: str, order: int) -> None:
-    if order > ORDER_CAPS[name]:
-        raise ResourceCapError(f"series {name}", order, ORDER_CAPS[name],
-                               "order")
+def _admit_order(name: str, order: int) -> None:
+    """Refuse an order of series ``name`` below 0 or above its cap."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order > (cap := ORDER_CAPS[name]):
+        raise ResourceCapError(f"series {name}", order, cap, "order")
 
 
 class FirstFailure(NamedTuple):
@@ -224,13 +227,14 @@ def jumpdist_radical(order: int) -> Series:
 
 # --- solvers ----------------------------------------------------------------
 
-def _prefix_cached(
-        build: Callable[..., _Sliceable]) -> Callable[..., _Sliceable]:
+def _prefix_cached(build: Callable[..., _Sliceable],
+                   admit: Callable[..., None]) -> Callable[..., _Sliceable]:
     """``build``, a function or a ``functools.partial`` of one, behind the
     prefix cache of the module docstring.  Its arguments, bound
-    positionally, are the key; ``truncate(*key)`` of the value built for a
-    covering key must equal ``build(*key)``.  The arity is read from the
-    code object; only a call by name or of the wrong arity binds through
+    positionally, are the key; ``admit(*key)``, run first, raises for a
+    refused key and passes no negative place.  ``truncate(*key)`` of the
+    value built for a covering key must equal ``build(*key)``.  Only a call
+    by name or of another arity than the code object's binds through
     ``inspect``, which raises the ``TypeError`` of a bad call."""
     top, cache, hits, misses = None, {}, 0, 0
     arity = (getattr(build, "func", build).__code__.co_argcount
@@ -242,7 +246,8 @@ def _prefix_cached(
         if by_name or len(key) != arity:
             from inspect import signature
             key = signature(build).bind(*key, **by_name).args
-        if top is not None and all(0 <= k <= t for k, t in zip(key, top)):
+        admit(*key)
+        if top is not None and all(k <= t for k, t in zip(key, top)):
             hits += 1
             if key not in cache:
                 cache[key] = cache[top].truncate(*key)
@@ -261,13 +266,12 @@ def _prefix_cached(
     return cached
 
 
-@_prefix_cached
+@partial(_prefix_cached, admit=partial(_admit_order, "f"))
 def solve_catalan(order: int) -> Series:
     """f = 1 + x*f^2, the tree counter, whose coefficients are the Catalan
     numbers: plain integers stepped by (n + 1)*f_n = 2(2n - 1)*f_(n-1)
     from f_0 = 1.  The quadratic is the tests' reference, and id 0 checks
     both it and the radical form."""
-    _capped("f", order)
     return fixed_point_solve(
         lambda f: Poly2.constant(2 * (2 * len(f) - 1) * f[-1].constant_value()
                                  // (len(f) + 1)) if f else Poly2.one(),
@@ -314,7 +318,7 @@ def _value_rows(stat: str, n_max: int) -> list[list[int]]:
     return rows
 
 
-@_prefix_cached
+@partial(_prefix_cached, admit=partial(_admit_order, "H"))
 def solve_H(order: int) -> Series:
     """H(x,q) = F(x,1,q), trees weighted q^jumps: the x^n coefficient has
     the Narayana numbers of row n (``_value_rows``) as its q-coefficients.
@@ -324,7 +328,6 @@ def solve_H(order: int) -> Series:
     returned; failure means the solver stack is broken, so it raises
     instead of returning.
     """
-    _capped("H", order)
     rows = _value_rows("jumps", order)
     # 4 spare bits keep x^n of the theorem-3 residual, the dot of
     # (H_(n-1), r_n) with (2q, 1), in H_(n-1)'s layout: the width rule adds
@@ -338,7 +341,7 @@ def solve_H(order: int) -> Series:
     return _self_checked(H, _theorem3_residual(H, order), "jumps")
 
 
-@_prefix_cached
+@partial(_prefix_cached, admit=partial(_admit_order, "F"))
 def solve_F(order: int) -> Series:
     """F(x,t,q) = 1 + xt*F(x,0,q)*F(x,t,q) + xtq*(F(x,1,q) - F(x,0,q))*F(x,t,q).
 
@@ -358,7 +361,6 @@ def solve_F(order: int) -> Series:
     Each column is copied into the rows of F as soon as it is computed;
     F_n's int, in t-stride N, is read from its row when C_n has been.
     """
-    _capped("F", order)
     H, N = solve_H(order), order
     if not N:
         return Series([Poly2.one()])
@@ -412,13 +414,12 @@ def _theorem5_residual(J: Series, order: int) -> Iterator[Poly2]:
                             catalan_radical(order) * _T)
 
 
-@_prefix_cached
+@partial(_prefix_cached, admit=partial(_admit_order, "J"))
 def solve_Jdepth(order: int) -> Series:
     """J(x,t), trees weighted t^depth: the inverse of 1 - x*t*f(x).
 
     Verified against its closed form before being returned.
     """
-    _capped("J", order)
     f = solve_catalan(order)
     J = (1 - (f * _T).shift_x()).truncate(order).inverse()
     return _self_checked(J, _theorem5_residual(J, order), "depth")
@@ -430,7 +431,7 @@ def _theorem6_residual(K: Series, order: int) -> Iterator[Poly2]:
                             jumpdist_radical(order))
 
 
-@_prefix_cached
+@partial(_prefix_cached, admit=partial(_admit_order, "K"))
 def solve_K(order: int) -> Series:
     """K(x,q), trees weighted q^jumpdist: the x^n coefficient has row n of
     Catalan's triangle (``_value_rows``) as its q-coefficients.
@@ -441,9 +442,6 @@ def solve_K(order: int) -> Series:
     gives the row with a_d at q^(n-d).  Exponents out of range mean the
     depth series is corrupt.
     """
-    _capped("K", order)
-    if order < 0:
-        raise ValueError("order must be >= 0")
     rows = _value_rows("jumpdist", order)
     # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
     # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule
@@ -473,11 +471,8 @@ def solve_K(order: int) -> Series:
 SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
            "K": solve_K}
 
-# the series each id solves at its order
-_SERIES = {"0": "f", "1": "F", "2": "F", "3": "H", "4": "J", "5": "J",
-           "6": "K"}
-# ids whose identity the solver of their series checks on every solve
-_SELF_CHECKED = ("3", "5", "6")
+# self-checked id -> the series whose solver checks its identity
+_SELF_CHECKED = {"3": "H", "5": "J", "6": "K"}
 
 
 def verify_theorem(theorem: int | str, order: int,
@@ -510,10 +505,9 @@ def verify_theorem(theorem: int | str, order: int,
             f"oracle size {upto}{_count_note(upto)} exceeds the "
             f"ceiling of {DEFAULT_ENUMERATION_CAP}; --oracle-cap must be "
             f"at most {DEFAULT_ENUMERATION_CAP}")
-    _capped(_SERIES[tid], order)
 
     if tid in _SELF_CHECKED:
-        SOLVERS[_SERIES[tid]](order)
+        SOLVERS[_SELF_CHECKED[tid]](order)
         return Verdict(tid, order, True)
     if tid == "2":
         return verify_F_closed_form(order)

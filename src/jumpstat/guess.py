@@ -81,6 +81,14 @@ class GuessError(Exception):
 
 # --- small exact polynomial helpers (coefficients ascending in n) -----------
 
+def _exact(value, what: str) -> Fraction:
+    """``Fraction(value)``, refusing a float: it would be read as its
+    binary expansion, 0.1 as 3602879701896397/36028797018963968."""
+    if isinstance(value, float):
+        raise ValueError(f"{what} is a float, not an exact number: {value!r}")
+    return Fraction(value)
+
+
 def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     last = len(coeffs)
     while last > 0 and coeffs[last - 1] == 0:
@@ -147,14 +155,14 @@ class RationalFunctionN:
     normalizes: common polynomial factors are divided out, denominators
     are cleared, the joint content is reduced to 1, and the denominator's
     leading coefficient is made positive.  Two equal functions therefore
-    compare equal as tuples.
+    compare equal as tuples.  A float coefficient is refused.
     """
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Sequence, denominator: Sequence):
-        num = _strip([Fraction(c) for c in numerator])
-        den = _strip([Fraction(c) for c in denominator])
+        num = _strip([_exact(c, "coefficient") for c in numerator])
+        den = _strip([_exact(c, "coefficient") for c in denominator])
         if not den:
             raise ZeroDivisionError("denominator polynomial is zero")
         inum, iden = _cleared(num, den)
@@ -426,7 +434,7 @@ def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
             raise ValueError(f"sample point n={n} is not an integer")
         if k in pts:
             raise ValueError(f"duplicate sample point n={k}")
-        pts[k] = Fraction(a)
+        pts[k] = _exact(a, f"sample value at n={k}")
     return sorted(pts.items())
 
 

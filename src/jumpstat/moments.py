@@ -55,7 +55,8 @@ from typing import NamedTuple
 
 from .algebra import Series
 from .genfunc import (CROSS_CHECK_ORDER, ResourceCapError, SelfCheckError,
-                      _capped, _prefix_cached, _value_rows, solve_H, solve_K)
+                      _admit_order, _prefix_cached, _value_rows, solve_H,
+                      solve_K)
 from .guess import RationalFunctionN
 from .trees import catalan
 
@@ -272,9 +273,9 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     min(n_max, CROSS_CHECK_ORDER) the sums must equal those of H or K
     solved at that order, packed from the same rows, so theorem 3 or 6
     and the round trip through packing cover those rows; a mismatch
-    raises SelfCheckError.  A max_moment
-    above MOMENT_CAP raises ResourceCapError, and so does an n_max
-    above H's or K's ``ORDER_CAPS`` entry, before any work.
+    raises SelfCheckError.  A max_moment above MOMENT_CAP raises
+    ResourceCapError, and so does an n_max above H's or K's ``ORDER_CAPS``
+    entry, before the table cache counts the call (``_admit_table``).
 
     Each statistic keeps the last table it built, in the solvers' prefix
     cache (``genfunc._prefix_cached``) keyed by (max_moment, n_max).  A
@@ -285,14 +286,18 @@ def moment_table(stat: str, max_moment: int = DEFAULT_MAX_MOMENT,
     """
     if stat not in STATS:
         raise ValueError(f"unknown statistic {stat!r}, expected one of {STATS}")
+    return _TABLES[stat](max_moment, n_max)
+
+
+def _admit_table(stat: str, max_moment: int, n_max: int) -> None:
+    """``moment_table``'s checks of its sizes, run by the table cache."""
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if max_moment > MOMENT_CAP:
         raise ResourceCapError("moment", max_moment, MOMENT_CAP, "moment")
-    _capped("H" if stat == "jumps" else "K", n_max)
-    return _TABLES[stat](max_moment, n_max)
+    _admit_order("H" if stat == "jumps" else "K", n_max)
 
 
 def _build_table(stat: str, max_moment: int, n_max: int) -> MomentTable:
@@ -330,7 +335,8 @@ def _build_table(stat: str, max_moment: int, n_max: int) -> MomentTable:
 
 # statistic -> its table builder behind the prefix cache; ``cache_info()``
 # and ``cache_clear()`` as for the solvers
-_TABLES = {stat: _prefix_cached(partial(_build_table, stat)) for stat in STATS}
+_TABLES = {stat: _prefix_cached(partial(_build_table, stat),
+                                partial(_admit_table, stat)) for stat in STATS}
 
 
 # --- reference closed forms ---------------------------------------------------

@@ -367,13 +367,3 @@ def brute_force_enumerator(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Se
     """
     return _weight_enumerator(n_max, cap, lambda st: (st.depth, st.jumps))
 
-
-def brute_force_jumpdist_enumerator(
-    n_max: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Series:
-    """Like brute_force_enumerator but the x^n coefficient sums q^jumpdist
-    (no depth marker).  Ground truth for the jump-distance solver; it
-    counts jumpdist itself, never depth, so it stays independent of the
-    complement rule by which solve_K's cross-check reads the depth
-    series."""
-    return _weight_enumerator(n_max, cap, lambda st: (0, st.jumpdist))

@@ -124,6 +124,19 @@ def test_solver_failure_exits_1_with_message(capsys, monkeypatch, error):
     assert err == "jumpstat: series is corrupt\n"
 
 
+def test_the_series_tables_agree():
+    # the caps, the solvers and the CLI's names cover the same five series,
+    # the self-checked ids name some of them, and every id has a check: a
+    # series or id added to one table only fails here
+    series = set(genfunc.ORDER_CAPS)
+    assert len(series) == 5
+    assert set(genfunc.SOLVERS) == set(cli.SERIES_ALIASES.values()) == series
+    assert set(genfunc._SELF_CHECKED.values()) <= series
+    assert set(genfunc._SELF_CHECKED) <= set(genfunc.THEOREM_IDS)
+    for tid in genfunc.THEOREM_IDS:
+        assert genfunc.verify_theorem(tid, 2) == (tid, 2, True, None)
+
+
 def test_series_unknown_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "Z"])
@@ -443,8 +456,11 @@ def test_benchmark_tracer_still_binds_the_layers(tmp_path):
 def _benchmark_workloads() -> dict:
     """``WORKLOADS`` of perfbench/run.py, imported read-only.  run.py
     imports its sibling modules by bare name, so perfbench/ is on sys.path
-    for the import only, and the modules loaded from there are dropped."""
+    for the import only, and the modules loaded from there are dropped.
+    The tests' own ``reference`` module is set aside meanwhile, so that
+    run.py binds perfbench's."""
     bench = REPO / "perfbench"
+    tests_reference = sys.modules.pop("reference", None)
     before = set(sys.modules)
     sys.path.insert(0, str(bench))
     try:
@@ -459,6 +475,8 @@ def _benchmark_workloads() -> dict:
             if Path(getattr(sys.modules[name], "__file__", None) or
                     "").parent == bench:
                 del sys.modules[name]
+        if tests_reference is not None:
+            sys.modules["reference"] = tests_reference
 
 
 def test_every_workload_records_the_spans_it_requires(tmp_path):

@@ -20,8 +20,8 @@ from jumpstat.genfunc import (SOLVERS, FirstFailure, SelfCheckError,
                               solve_H, solve_Jdepth, solve_K,
                               verify_F_closed_form, verify_theorem)
 from jumpstat.moments import q_log_derivative_power
-from jumpstat.trees import (EnumerationCapError,
-                            brute_force_jumpdist_enumerator, catalan)
+from jumpstat.trees import EnumerationCapError, catalan
+from reference import brute_force_jumpdist_enumerator
 
 T = Poly2.term(1, et=1)
 Q = Poly2.term(1, eq=1)
@@ -530,15 +530,22 @@ _SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
 _SOLVED: dict = {}
 
 
-def _solved(name: str, order: int):
-    """The uncached solve: its series, or the type and text of its error."""
-    key = name, order
-    if key not in _SOLVED:
-        try:
-            _SOLVED[key] = _SOLVERS[name].__wrapped__(order)
-        except (ValueError, genfunc.ResourceCapError) as error:
-            _SOLVED[key] = type(error), str(error)
-    return _SOLVED[key]
+def _solved(name: str, order: int) -> Series:
+    """The uncached solve of an admitted order."""
+    if (name, order) not in _SOLVED:
+        _SOLVED[name, order] = _SOLVERS[name].__wrapped__(order)
+    return _SOLVED[name, order]
+
+
+def _refusal(name: str, order: int) -> tuple[type, str] | None:
+    """The type and text of the error that refuses an order, or None."""
+    cap = genfunc.ORDER_CAPS[name]
+    if order < 0:
+        return ValueError, "order must be >= 0"
+    if order > cap:
+        return (genfunc.ResourceCapError,
+                f"series {name} at order {order} exceeds the cap of order {cap}")
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(_SOLVERS))
@@ -546,30 +553,32 @@ def _solved(name: str, order: int):
 @settings(max_examples=15, deadline=None)
 def test_prefix_cache_serves_what_the_solver_returns(name, data):
     # orders up to the highest solved are prefixes of it, memoised per
-    # order until a higher one replaces it; any other order, the cap + 1
-    # included, runs the solver
+    # order until a higher one replaces it; any other admitted order runs
+    # the solver, and a refused one, the cap + 1 included, is not counted
     solver = _SOLVERS[name]
     orders = data.draw(st.lists(st.integers(-2, 40) | st.just(
         genfunc.ORDER_CAPS[name] + 1), min_size=1, max_size=8))
     solver.cache_clear()
     top, served, dropped = -1, {}, {}
     for order in orders:
-        expected = _solved(name, order)
         hits, misses = solver.cache_info()
-        hit = 0 <= order <= top
-        try:
-            got = solver(order)
-        except (ValueError, genfunc.ResourceCapError) as error:
-            assert (type(error), str(error)) == expected
-        else:
-            assert isinstance(expected, Series) and got == expected
-            if order in served:
-                assert got is served[order]
-            elif order in dropped:
-                assert got is not dropped[order]
-            if order > top:
-                top, served, dropped = order, {}, served
-            served[order] = got
+        refusal = _refusal(name, order)
+        if refusal is not None:
+            with pytest.raises(refusal[0]) as refused:
+                solver(order)
+            assert str(refused.value) == refusal[1]
+            assert solver.cache_info() == (hits, misses)
+            continue
+        hit = order <= top
+        got = solver(order)
+        assert got == _solved(name, order)
+        if order in served:
+            assert got is served[order]
+        elif order in dropped:
+            assert got is not dropped[order]
+        if order > top:
+            top, served, dropped = order, {}, served
+        served[order] = got
         assert solver.cache_info() == (hits + hit, misses + (not hit))
     solver.cache_clear()
     assert solver.cache_info() == (0, 0)
@@ -607,6 +616,54 @@ def test_a_cached_builder_binds_by_name_as_a_call_would(builder, names):
         with pytest.raises(TypeError):
             builder(*bad_args, **bad_names)
     assert builder.cache_info() == info
+
+
+def _refused_keys() -> list[tuple]:
+    """(case id, cached builder, refused key, error type, message) for
+    every builder behind the prefix cache."""
+    cases = [(name, solver, (order,), *_refusal(name, order))
+             for name, solver in SOLVERS.items()
+             for order in (-1, genfunc.ORDER_CAPS[name] + 1)]
+    error, top = genfunc.ResourceCapError, moments.MOMENT_CAP
+    for stat, name in (("jumps", "H"), ("jumpdist", "K")):
+        table, cap = moments._TABLES[stat], genfunc.ORDER_CAPS[name]
+        cases += [
+            (stat, table, (0, 5), ValueError, "max_moment must be >= 1"),
+            (stat, table, (top + 1, 5), error, f"moment at order {top + 1} "
+             f"exceeds the cap of order {top}"),
+            (stat, table, (4, -1), ValueError, "n_max must be >= 0"),
+            (stat, table, (4, cap + 1), error, f"series {name} at order "
+             f"{cap + 1} exceeds the cap of order {cap}")]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "builder, key, error, message", [case[1:] for case in _refused_keys()],
+    ids=[f"{case[0]}:{','.join(map(str, case[2]))}"
+         for case in _refused_keys()])
+def test_a_refused_key_is_never_counted_looked_up_or_built(builder, key,
+                                                           error, message):
+    # with a covering value cached, the refusal reads as the solver's or
+    # moment_table's own did, and the builder's code is never entered
+    builder(*(4, 5)[-len(key):])
+    info = builder.cache_info()
+    build = builder.__wrapped__
+    code, entered = getattr(build, "func", build).__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            entered.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with pytest.raises(error) as refused:
+            builder(*key)
+    finally:
+        sys.setprofile(previous)
+    assert str(refused.value) == message
+    assert builder.cache_info() == info
+    assert entered == []
 
 
 def test_the_session_ranges_slice_the_order_32_series():

@@ -478,6 +478,27 @@ def test_non_integral_sample_point_is_refused_by_name(n):
         guess_rational(points)
 
 
+def test_a_float_value_or_coefficient_is_refused_by_name():
+    # read exactly, 0.1 is 3602879701896397/36028797018963968: a line
+    # sampled in floats would fit no line, and a coefficient would be kept
+    # as that binary fraction
+    line = [(n, 0.1 * n) for n in range(2, 8)]
+    message = re.escape("sample value at n=2 is a float, not an exact "
+                        "number: 0.2")
+    with pytest.raises(ValueError, match=message):
+        fit_rational(line, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        guess_rational(line)
+    for numerator, denominator, value in (([0.1], [1], "0.1"),
+                                          ([1], [2.0], "2.0")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient is a float, not an exact number: {value}")):
+            RationalFunctionN(numerator, denominator)
+    # exact values of the same line still fit it
+    assert fit_rational([(n, F(n, 10)) for n in range(2, 8)], 1, 0) == \
+        RationalFunctionN((0, 1), (10,))
+
+
 def test_duplicates_are_found_after_conversion_to_int():
     with pytest.raises(ValueError, match=r"duplicate sample point n=2$"):
         fit_rational(SMOOTH_POINTS + [(2.0, 7)], 2, 1)
