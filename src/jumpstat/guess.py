@@ -11,12 +11,13 @@ together in Newton form in one pass over the points.  One routine,
 ``_euclid_mod_p``, runs the extended Euclidean algorithm of M against A
 step by step (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 5.7-5.10: Cauchy interpolation); the coprimality check of
-``RationalFunctionN`` runs it too.
+``RationalFunctionN`` runs it too.  Off the primes, every polynomial has
+integer coefficients; only sample values and values at n are fractions.
 
 * ``fit_rational`` fits one degree pair: the first Euclidean step with
   deg r_j <= deg_num gives the fits mod each prime; the Chinese remainder
-  theorem and rational reconstruction lift it to the rationals, over as
-  many primes below 2^61 as it takes.  Nothing is returned on trust.
+  theorem and rational reconstruction lift it to an integer pair, over
+  as many primes below 2^61 as it takes.  Nothing is returned on trust.
   Every answer has one of three certificates: a prime with no fit
   (reduction can only lose rank, so there is none over the rationals); a
   lifted candidate that reproduces every point, which proves itself and
@@ -43,7 +44,7 @@ results are deterministic for a given point set.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import _power, _signed_sum
@@ -89,7 +90,7 @@ def _exact(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _strip(coeffs: Sequence) -> tuple:
     last = len(coeffs)
     while last > 0 and coeffs[last - 1] == 0:
         last -= 1
@@ -103,38 +104,31 @@ def _poly_eval(coeffs: Sequence[int], n: int) -> int:
     return acc
 
 
-def _poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    a = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
+def _primitive(coeffs: list[int]) -> list[int]:
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^k * a mod b for some k >= 0: each step scales a by lc(b) and
+    takes a multiple of b off its leading term (Knuth, TAOCP Vol. 2,
+    4.6.1).  b is nonzero."""
+    while len(a) >= len(b):
+        f, pad = a[-1], [0] * (len(a) - len(b))
+        a = [c * b[-1] - f * e for c, e in zip(a[:-1], pad + b)]
+        while a and not a[-1]:
             a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = Fraction(a[-1]) / lead
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    return _strip(quot), _strip(a)
-
-
-def _poly_gcd(a: tuple, b: tuple) -> tuple:
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
     return a
 
 
-def _cleared(num: Sequence[Fraction], den: Sequence[Fraction]
-             ) -> tuple[list[int], list[int]]:
-    """num and den times the least common denominator of their
-    coefficients."""
-    scale = 1
-    for c in (*num, *den):
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    return [int(c * scale) for c in num], [int(c * scale) for c in den]
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials that b divides over the integers."""
+    quot = []
+    while len(a) >= len(b):
+        f, pad = a[-1] // b[-1], [0] * (len(a) - len(b))
+        quot.append(f)
+        a = [c - f * e for c, e in zip(a[:-1], pad + b)]
+    return quot[::-1]
 
 
 class Limit(NamedTuple):
@@ -152,32 +146,36 @@ class RationalFunctionN:
     """A reduced rational function of the integer variable n.
 
     Stored as integer coefficient tuples, ascending powers.  Construction
-    normalizes: common polynomial factors are divided out, denominators
-    are cleared, the joint content is reduced to 1, and the denominator's
+    normalizes: denominators are cleared, common polynomial factors are
+    divided out, the joint content is reduced to 1, and the denominator's
     leading coefficient is made positive.  Two equal functions therefore
     compare equal as tuples.  A float coefficient is refused.
+
+    All on integers: a prime certifies most pairs coprime; any other
+    pair is divided by the gcd from primitive pseudo-remainders, with
+    integer quotients by Gauss's lemma.
     """
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Sequence, denominator: Sequence):
-        num = _strip([_exact(c, "coefficient") for c in numerator])
-        den = _strip([_exact(c, "coefficient") for c in denominator])
+        num = [_exact(c, "coefficient") for c in numerator]
+        den = [_exact(c, "coefficient") for c in denominator]
+        scale = lcm(*(c.denominator for c in num + den))
+        num, den = ([c.numerator * (scale // c.denominator) for c in _strip(p)]
+                    for p in (num, den))
         if not den:
             raise ZeroDivisionError("denominator polynomial is zero")
-        inum, iden = _cleared(num, den)
-        if inum and not _coprime_mod_p(inum, iden):
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                inum, iden = _cleared(_poly_divmod(num, g)[0],
-                                      _poly_divmod(den, g)[0])
-        content = 0
-        for c in (*inum, *iden):
-            content = gcd(content, c)
-        if iden[-1] < 0:
+        if num and not _coprime_mod_p(num, den):
+            g, h = _primitive(num), _primitive(den)
+            while h:
+                g, h = h, _primitive(_pseudo_remainder(g, h))
+            num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+        content = gcd(*num, *den)
+        if den[-1] < 0:
             content = -content
-        self.numerator = tuple(c // content for c in inum)
-        self.denominator = tuple(c // content for c in iden)
+        self.numerator = tuple(c // content for c in num)
+        self.denominator = tuple(c // content for c in den)
 
     def degrees(self) -> tuple[int, int]:
         """(numerator degree, denominator degree); zero numerator is -1."""
@@ -294,24 +292,19 @@ def _interpolation_mod_p(pts: Sequence[tuple[int, Fraction]], p: int
     if len(set(xs)) < len(xs) or not all(dens):
         return None
     # Newton form: after each point, M is the product over the points so
-    # far and A interpolates them; the next point adds a multiple of M.
-    # A keeps deg M coefficients (leading zeros too) and M is monic, so
-    # one Horner loop evaluates both.  A is held as D*A, so that the one
-    # division is by D at the end: for a value num/den,
-    # A + ((num/den - A(x)) / M(x)) * M is
-    # (f*(D*A) + (num*D - den*(D*A)(x)) * M) / (D*f) with f = den*M(x)
-    big_m, interp, d = [1], [], 1
+    # far and A interpolates them; the value num/den at the next point x
+    # adds (num - den*A(x)) / (den*M(x)) times M.  A keeps deg M
+    # coefficients (leading zeros too) and M is monic, so one Horner loop
+    # evaluates both.
+    big_m, interp = [1], []
     for x, num, den in zip(xs, [a.numerator % p for _, a in pts], dens):
         at_x, m_at_x = 0, 1
         for c, b in zip(reversed(interp), reversed(big_m[:-1])):
             at_x = (at_x * x + c) % p
             m_at_x = (m_at_x * x + b) % p
-        f, g = den * m_at_x % p, (num * d - at_x * den) % p
-        interp = [(c * f + g * b) % p for c, b in zip([*interp, 0], big_m)]
-        d = d * f % p
+        g = (num - den * at_x) * pow(den * m_at_x, -1, p) % p
+        interp = [(c + g * b) % p for c, b in zip([*interp, 0], big_m)]
         big_m = [(lo - x * hi) % p for lo, hi in zip([0, *big_m], [*big_m, 0])]
-    inv = pow(d, -1, p)
-    interp = [c * inv % p for c in interp]
     while interp and not interp[-1]:
         interp.pop()
     return big_m, interp
@@ -357,10 +350,11 @@ def _nullity_mod_p(steps: list[tuple[int, int]], deg_num: int,
 
 
 def _rational_reconstruction(residues: list[int], modulus: int
-                             ) -> list[Fraction] | None:
+                             ) -> list[int] | None:
     """The rationals a/b = x mod modulus, one per residue x, with |a| and
-    b at most sqrt(modulus / 2) (von zur Gathen & Gerhard, 5.10); None
-    when a residue has no such preimage."""
+    b at most sqrt(modulus / 2) (von zur Gathen & Gerhard, 5.10), times
+    the lcm of their denominators; None when a residue has no such
+    preimage."""
     bound = isqrt(modulus >> 1)
     out = []
     for x in residues:
@@ -372,8 +366,9 @@ def _rational_reconstruction(residues: list[int], modulus: int
             t0, t1 = t1, t0 - q * t1
         if abs(t1) > bound:
             return None
-        out.append(Fraction(r1, t1))
-    return out
+        out.append((r1, t1))
+    scale = lcm(*(t for _, t in out))
+    return [r * (scale // t) for r, t in out]
 
 
 def _is_prime(n: int) -> bool:
@@ -429,7 +424,10 @@ def _first_miss(candidate: RationalFunctionN,
 def _clean_points(points: Iterable) -> list[tuple[int, Fraction]]:
     pts: dict[int, Fraction] = {}
     for n, a in points:
-        k = int(n)
+        try:
+            k = int(n)
+        except (OverflowError, ValueError):   # inf, nan
+            k = None
         if k != n:
             raise ValueError(f"sample point n={n} is not an integer")
         if k in pts:
@@ -523,9 +521,8 @@ def fit_rational(points: Iterable, deg_num: int,
         else:
             # a pair that solves the linear system makes the nullity mod p
             # exact
-            inum, iden = _cleared(num, den)
-            if any(_poly_eval(inum, n) * a.denominator
-                   != a.numerator * _poly_eval(iden, n) for n, a in pts):
+            if any(_poly_eval(num, n) * a.denominator
+                   != a.numerator * _poly_eval(den, n) for n, a in pts):
                 continue
         if nullity > 1:
             raise AmbiguousFitError(f"{nullity} independent fits at "

@@ -1,12 +1,17 @@
 """Test-only helpers that the package itself never calls.
 
-``degree_t`` and ``degree_q`` read a polynomial's exact degrees, and
-``brute_force_jumpdist_enumerator`` is the exhaustive oracle for K.
+``degree_t`` and ``degree_q`` read a polynomial's exact degrees,
+``brute_force_jumpdist_enumerator`` is the exhaustive oracle for K, and
+``poly_divmod`` and ``poly_gcd`` are Euclid over ``Fraction`` coefficients,
+the oracle for the integer reduction of ``RationalFunctionN``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from jumpstat.algebra import Poly2, Series, _digits, _exact_meta
+from jumpstat.guess import _strip
 from jumpstat.trees import DEFAULT_ENUMERATION_CAP, _weight_enumerator
 
 
@@ -28,3 +33,30 @@ def brute_force_jumpdist_enumerator(
     independent of the complement rule by which solve_K's cross-check
     reads the depth series."""
     return _weight_enumerator(n_max, cap, lambda st: (0, st.jumpdist))
+
+
+def poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of polynomial division over the rationals,
+    coefficients ascending; b has a nonzero leading coefficient."""
+    a = list(a)
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = Fraction(b[-1])
+    while len(a) >= len(b) and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        factor = Fraction(a[-1]) / lead
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a.pop()
+    return _strip(quot), _strip(a)
+
+
+def poly_gcd(a: tuple, b: tuple) -> tuple:
+    """A gcd over the rationals, by Euclid's algorithm."""
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a

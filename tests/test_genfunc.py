@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import sys
 import tracemalloc
@@ -771,19 +772,32 @@ _FAULTS = {
     "5": (solve_Jdepth, lambda m: [(a, 0) for a in range(m + 1)], 0),
     "6": (solve_K, lambda m: [(0, b) for b in range(m + 1)], 0),
 }
+# id 1 reads F against the enumeration, id 4 J against its product form
+_FAULTS["1"], _FAULTS["4"] = _FAULTS["2"], _FAULTS["5"]
+# the ids that report a failed identity as a failing Verdict
+_VERDICT_IDS = ("0", "1", "2", "4")
+
+
+def _faulty_verdict(monkeypatch, theorem: str, wrong: Series,
+                    order: int) -> Verdict:
+    """Id ``theorem``'s verdict with its solver returning ``wrong``."""
+    with monkeypatch.context() as patched:
+        patched.setattr(genfunc, _FAULTS[theorem][0].__name__,
+                        lambda n: wrong)
+        return verify_theorem(theorem, order)
 
 
 def _named_power(monkeypatch, theorem: str, wrong: Series,
                  order: int) -> int | None:
     """The x-power that id ``theorem`` names as the first failure of
-    ``wrong``: its verdict's for ids 0 and 2, its solver's SelfCheckError's
-    for the self-checked ids; None if it passes."""
+    ``wrong``: its verdict's for ids 0, 1, 2 and 4, its solver's
+    SelfCheckError's for the self-checked ids; None if it passes."""
+    if theorem in _VERDICT_IDS:
+        failure = _faulty_verdict(monkeypatch, theorem, wrong,
+                                  order).first_failure
+        return failure and failure.n
     solver = _FAULTS[theorem][0]
     with monkeypatch.context() as patched:
-        if theorem in ("0", "2"):
-            patched.setattr(genfunc, solver.__name__, lambda n: wrong)
-            failure = verify_theorem(theorem, order).first_failure
-            return failure and failure.n
         name = f"_theorem{theorem}_residual"
         residual = getattr(genfunc, name)
         patched.setattr(genfunc, name, lambda S, n: residual(wrong, n))
@@ -794,8 +808,9 @@ def _named_power(monkeypatch, theorem: str, wrong: Series,
     return None
 
 
-@pytest.mark.parametrize("theorem, order", [("0", 12), ("2", 6), ("3", 12),
-                                            ("5", 12), ("6", 12)])
+@pytest.mark.parametrize("theorem, order", [("0", 12), ("1", 6), ("2", 6),
+                                            ("3", 12), ("4", 12), ("5", 12),
+                                            ("6", 12)])
 def test_every_check_names_the_first_power_a_single_term_breaks(
         monkeypatch, theorem, order):
     # up to x^order included: a check must read every coefficient it returns
@@ -807,6 +822,42 @@ def test_every_check_names_the_first_power_a_single_term_breaks(
                 [0] * m + [Poly2.term(1, et=et, eq=eq)], order)
             assert _named_power(monkeypatch, theorem, wrong,
                                 order) == m + lag, (m, et, eq)
+
+
+def test_a_negative_catalan_coefficient_fails_id_0_at_its_power(monkeypatch):
+    # f_m - (C_m + 1) = -1, so the square of f takes a negative coefficient
+    f = solve_catalan(12)
+    for m in range(13):
+        wrong = f - Series.from_x_coefficients(
+            [0] * m + [catalan(m) + 1], 12)
+        failure = _faulty_verdict(monkeypatch, "0", wrong, 12).first_failure
+        assert (failure.n, failure.residual) == \
+            (m, Poly2.constant(-catalan(m) - 1)), m
+        ints = [c.constant_value() for c in wrong.coefficients()]
+        assert [c.constant_value() for c in (wrong * wrong).coefficients()] \
+            == [sum(ints[i] * ints[n - i] for i in range(n + 1))
+                for n in range(13)], m
+
+
+# one single-term fault per case, with its failing verdict as recorded
+# before id 0's square, id 4's product or J's construction changed
+@pytest.mark.parametrize("theorem, order, m, term, recorded", [
+    ("0", 12, 5, Poly2.constant(-43), '{"theorem": "0", "order": 12, '
+     '"pass": false, "first_failure": {"n": 5, "residual_terms": '
+     '[{"et": 0, "eq": 0, "num": -43, "den": 1}]}}'),
+    ("1", 6, 6, Poly2.term(1, et=2, eq=3), '{"theorem": "1", "order": 6, '
+     '"pass": false, "first_failure": {"n": 6, "residual_terms": '
+     '[{"et": 2, "eq": 3, "num": 1, "den": 1}]}}'),
+    ("4", 12, 7, Poly2.term(1, et=5), '{"theorem": "4", "order": 12, '
+     '"pass": false, "first_failure": {"n": 7, "residual_terms": '
+     '[{"et": 5, "eq": 0, "num": 1, "den": 1}]}}'),
+], ids=["0-negative", "1", "4"])
+def test_a_single_term_fault_gives_its_recorded_verdict(
+        monkeypatch, theorem, order, m, term, recorded):
+    wrong = _FAULTS[theorem][0](order) + Series.from_x_coefficients(
+        [0] * m + [term], order)
+    verdict = _faulty_verdict(monkeypatch, theorem, wrong, order)
+    assert json.dumps(verdict.to_json()) == recorded
 
 
 def test_verdict_is_frozen():

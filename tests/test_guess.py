@@ -19,6 +19,7 @@ from jumpstat.guess import (AmbiguousFitError, FitError, GuessError, Limit,
                             _reconstruction_steps, _strip, fit_rational,
                             guess_rational)
 from jumpstat.moments import moment_table
+from reference import poly_divmod, poly_gcd
 
 F = Fraction
 P = (1 << 61) - 1
@@ -499,6 +500,17 @@ def test_a_float_value_or_coefficient_is_refused_by_name():
         RationalFunctionN((0, 1), (10,))
 
 
+def test_a_non_finite_sample_point_is_refused_by_name():
+    # int() of these raises OverflowError or a ValueError without the point
+    for n in (float("inf"), float("-inf"), float("nan")):
+        points = SMOOTH_POINTS + [(n, 7)]
+        message = re.escape(f"sample point n={n} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            fit_rational(points, 2, 1)
+        with pytest.raises(ValueError, match=message):
+            guess_rational(points)
+
+
 def test_duplicates_are_found_after_conversion_to_int():
     with pytest.raises(ValueError, match=r"duplicate sample point n=2$"):
         fit_rational(SMOOTH_POINTS + [(2.0, 7)], 2, 1)
@@ -708,11 +720,15 @@ def _poly_mul(a, b):
     return out
 
 
-@given(num=polys.filter(any), den=polys.filter(any),
-       factor=st.lists(st.integers(min_value=-3, max_value=3), min_size=2,
-                       max_size=3).filter(lambda f: f[-1]),
+exact_polys = st.lists(st.integers(min_value=-3, max_value=3) | rationals,
+                       min_size=1, max_size=3)
+
+
+@given(num=exact_polys.filter(any), den=exact_polys.filter(any),
+       factor=st.lists(st.integers(min_value=-3, max_value=3) | rationals,
+                       min_size=2, max_size=3).filter(lambda f: f[-1]),
        scale=st.sampled_from([F(1), F(1, 3), F(P), F(-2 * P, 5)]),
-       lead=st.sampled_from([1, P]))
+       lead=st.sampled_from([1, -1, P, -P]))
 def test_planted_common_factors_divide_out_as_with_the_fraction_gcd(
         num, den, factor, scale, lead):
     # P in the scale or in the factor's leading coefficient gives the
@@ -722,9 +738,14 @@ def test_planted_common_factors_divide_out_as_with_the_fraction_gcd(
     factor[-1] *= lead
     planted = (_poly_mul(num, factor), _poly_mul(den, factor))
     with mock.patch.object(guess, "_coprime_mod_p", return_value=False):
-        by_fraction_gcd = RationalFunctionN(*planted)
-    assert RationalFunctionN(*planted) == by_fraction_gcd == \
-        RationalFunctionN(num, den)
+        by_integer_gcd = RationalFunctionN(*planted)
+    # the oracle's quotients are coprime: normalise them without reducing
+    g = poly_gcd(*planted)
+    with mock.patch.object(guess, "_coprime_mod_p", return_value=True):
+        by_fraction_gcd = RationalFunctionN(
+            *(poly_divmod(p, g)[0] for p in planted))
+    assert RationalFunctionN(*planted) == by_integer_gcd == \
+        by_fraction_gcd == RationalFunctionN(num, den)
 
 
 # --- when the screen does not apply, the lift takes the next prime -----------
