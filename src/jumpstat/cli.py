@@ -11,6 +11,9 @@ Subcommands:
 * ``guess STAT``       — fit a rational function in n to a moment column.
 * ``limits``           — reference closed forms and their limits.
 
+The first four load ``trees``, ``algebra`` and ``genfunc`` only; the last
+three also import ``moments`` and ``guess`` (and ``fractions``) to run.
+
 Exit codes: 0 success, 1 a verification, solver self-check or fit failed,
 2 usage or parse error, 3 a resource cap refused the request (an
 enumeration size, a series order above ``genfunc.ORDER_CAPS``, or a
@@ -30,8 +33,9 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import genfunc, guess, moments
+from . import genfunc
 from .trees import (STREAMING_CAP, EnumerationCapError, compute_stats,
                     enumerate_trees_with_stats, format_tree, parse_tree)
 
@@ -62,8 +66,8 @@ class _UsageError(Exception):
 
 class _EnvDefault:
     """Default of a value-taking flag: JUMPSTAT_<FLAG> if set, else the
-    fallback.  Resolved after parsing, so only the chosen subcommand's
-    flags that argv leaves out read the environment."""
+    fallback, called if callable.  Resolved after parsing, so only the
+    chosen subcommand's flags that argv leaves out read the environment."""
 
     def __init__(self, flag: str, fallback, choices: list[str] | None = None):
         self.name = "JUMPSTAT_" + flag.lstrip("-").upper().replace("-", "_")
@@ -75,7 +79,7 @@ class _EnvDefault:
     def resolve(self):
         raw = os.environ.get(self.name)
         if raw is None:
-            return self.fallback
+            return self.fallback() if callable(self.fallback) else self.fallback
         if self.choices is None:
             try:
                 return int(raw)
@@ -92,6 +96,11 @@ def _flag(p: argparse.ArgumentParser, flag: str, fallback,
           choices: list[str] | None = None, **kw) -> None:
     p.add_argument(flag, type=None if choices else int, choices=choices,
                    default=_EnvDefault(flag, fallback, choices), **kw)
+
+
+def _constant(module: str, name: str):
+    """A fallback read from a layer when resolved: the parser loads none."""
+    return lambda: getattr(import_module(f".{module}", __package__), name)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,26 +131,27 @@ def _build_parser() -> argparse.ArgumentParser:
           help="exhaustive-enumeration bound for id 1 (default %(default)s)")
 
     p = sub.add_parser("moments", help="exact moment table")
-    p.add_argument("stat", choices=list(moments.STATS))
-    _flag(p, "--max-moment", moments.DEFAULT_MAX_MOMENT)
-    _flag(p, "--nmax", moments.DEFAULT_N_MAX)
+    p.add_argument("stat", choices=list(genfunc.STATS))
+    _flag(p, "--max-moment", _constant("moments", "DEFAULT_MAX_MOMENT"))
+    _flag(p, "--nmax", _constant("moments", "DEFAULT_N_MAX"))
     _flag(p, "--format", "json", ["json", "csv"])
     p.add_argument("--check", action="store_true",
                    help="also check the reference closed forms "
                         "(results on stderr; failures set exit code 1)")
 
     p = sub.add_parser("guess", help="fit a rational function to a moment column")
-    p.add_argument("stat", choices=list(moments.STATS))
+    p.add_argument("stat", choices=list(genfunc.STATS))
     p.add_argument("--moment", required=True,
                    help="mean | variance | raw:R | central:R | scaled:R "
                         "(odd scaled moments use their squared values)")
     _flag(p, "--n-from", 2)
     _flag(p, "--n-to", 40)
-    _flag(p, "--holdout", guess.DEFAULT_HOLDOUT)
-    _flag(p, "--max-total-degree", guess.DEFAULT_MAX_TOTAL_DEGREE)
+    _flag(p, "--holdout", _constant("guess", "DEFAULT_HOLDOUT"))
+    _flag(p, "--max-total-degree",
+          _constant("guess", "DEFAULT_MAX_TOTAL_DEGREE"))
 
     p = sub.add_parser("limits", help="reference closed forms and their limits")
-    _flag(p, "--stat", "all", ["all", *moments.STATS])
+    _flag(p, "--stat", "all", ["all", *genfunc.STATS])
 
     return parser
 
@@ -185,6 +195,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import moments
     table = moments.moment_table(args.stat, max_moment=args.max_moment,
                                  n_max=args.nmax)
     if args.format == "csv":
@@ -225,6 +236,7 @@ def _parse_moment_spec(spec: str) -> tuple[str, int]:
 
 
 def _cmd_guess(args) -> int:
+    from . import guess, moments
     kind, r = _parse_moment_spec(args.moment)
     if args.n_from < 0:
         raise _UsageError("--n-from must be >= 0")
@@ -236,8 +248,12 @@ def _cmd_guess(args) -> int:
         value = table.row(n).value(kind, r)
         if value is not None:
             points.append((n, value))
-    result = guess.guess_rational(points, holdout=args.holdout,
-                                  max_total_degree=args.max_total_degree)
+    try:
+        result = guess.guess_rational(points, holdout=args.holdout,
+                                      max_total_degree=args.max_total_degree)
+    except guess.GuessError as exc:
+        print(f"jumpstat: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     out = {"stat": args.stat, "moment": {"kind": kind, "r": r},
            "points": {"from": points[0][0], "to": points[-1][0],
                       "holdout": args.holdout}}
@@ -247,6 +263,7 @@ def _cmd_guess(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    from . import moments
     refs = [ref for ref in moments.REFERENCE_FORMULAS
             if args.stat in ("all", ref.stat)]
     print(json.dumps([ref.to_json() for ref in refs], indent=2))
@@ -288,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"jumpstat: {exc}; {_CAP_FLAGS[exc.limit][args.command]} must "
               f"be at most {exc.cap}", file=sys.stderr)
         return EXIT_REFUSED
-    except (guess.GuessError, genfunc.SelfCheckError) as exc:
+    except genfunc.SelfCheckError as exc:
         print(f"jumpstat: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:

@@ -299,6 +299,9 @@ def _theorem3_residual(H: Series, order: int) -> Iterator[Poly2]:
                             jumps_radical(order + 1))
 
 
+STATS = ("jumps", "jumpdist")   # the statistics ``_value_rows`` dispatches on
+
+
 def _value_rows(stat: str, n_max: int) -> list[list[int]]:
     """rows[n][k] = the number of trees of size n with value k, for
     n <= n_max, on plain ints: the Narayana numbers by their product rule

@@ -54,9 +54,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import Series
-from .genfunc import (CROSS_CHECK_ORDER, ResourceCapError, SelfCheckError,
-                      _admit_order, _prefix_cached, _value_rows, solve_H,
-                      solve_K)
+from .genfunc import (CROSS_CHECK_ORDER, STATS, ResourceCapError,
+                      SelfCheckError, _admit_order, _prefix_cached,
+                      _value_rows, solve_H, solve_K)
 from .guess import RationalFunctionN
 from .trees import catalan
 
@@ -75,8 +75,6 @@ DEFAULT_N_MAX = 60
 # of H and K that a table still obeys, are kept so that every refusal
 # reads as before.
 MOMENT_CAP = 24
-
-STATS = ("jumps", "jumpdist")
 
 
 def q_log_derivative_power(series: Series, r: int) -> list[list[int]]:

@@ -677,6 +677,28 @@ def test_cli_output_is_byte_identical_to_its_record(job):
     assert run_recorded(job) == CLI_RECORD[job]
 
 
+@pytest.mark.parametrize("job", [
+    "series K --order -1",
+    "series J --order 401",
+    "verify 1 --order 17 --oracle-cap 17",
+    "stats '[.'",
+])
+def test_a_fresh_process_refuses_as_recorded_without_the_moment_layers(job):
+    """Usage errors and refused caps of commands that load neither
+    ``moments`` nor ``guess``: every ``except`` clause of ``main`` that
+    the error passes must be evaluable in a process without them, which
+    the in-process records cannot see once another test has loaded both."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-m", "jumpstat.cli",
+                           *shlex.split(job)],
+                          env=env, capture_output=True, timeout=60)
+    assert {"exit": proc.returncode,
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest(),
+            } == CLI_RECORD[job], proc.stderr
+
+
 # --- the CLI contract -------------------------------------------------------
 
 @st.composite
