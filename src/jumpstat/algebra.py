@@ -23,9 +23,10 @@ balanced, |c| < 2^(w-1), so the int decodes uniquely whatever the signs.
 In one layout (w, S) the product of two packed ints, and a sum of such
 products, is the packed result whenever its coefficients fit a slot and
 its q-exponents stay below S: one C bignum multiply per pair of
-polynomials, where a term loop would do one per pair of terms.  By a
-literal factor of a few terms the product is a few shifted adds of the
-other's int instead (``_product``), the same int at O(size) cost.
+polynomials, where a term loop would do one per pair of terms.  When
+either factor stores at most four terms, as the theorem residuals'
+literal factors do, the product is that many shifted adds of the other's
+int instead (``_product``), the same int at O(size) cost.
 
 The width rule.  Each ``Poly2`` carries upper bounds on the bit length
 of its coefficients, its term count and its two degrees, so choosing a
@@ -58,19 +59,11 @@ _MARKERS = ("t", "q")
 _ZERO = (-(1 << 40), 0, -(1 << 40), -(1 << 40))
 
 # ``_product`` applies a factor whose stored term bound is at most
-# _FEW_TERMS as shifted adds when the other's is at least _MANY_TERMS.
-# The literal factors of the theorem residuals store 1 to 3 terms.  On a
-# 2-vCPU x86 VM, times F_16 (256 terms, t-stride 40) a literal of 2 to 4
-# terms took 35-54 us as shifted adds and 186-249 us as one multiply, and
-# a constant 26 against 21 us.
+# _FEW_TERMS as shifted adds.  The literal factors of the theorem
+# residuals store 1 to 3 terms.  On a 2-vCPU x86 VM, times F_16 (256
+# terms, t-stride 40) a literal of 2 to 4 terms took 35-54 us as shifted
+# adds and 186-249 us as one multiply, and a constant 26 against 21 us.
 _FEW_TERMS = 4
-# With no bound on the other side the rule fires on pairs of one-term
-# ints, where decoding costs more than the multiply: the fixed-point step
-# of f = 1 + x*f^2 at 200 pairs took 1.33 ms against 0.39 ms.  Times a
-# one-marker K_n of n + 1 terms by 2q - 2 the two ways were within 10 %
-# up to n = 63, and the shifted adds won from n = 120 (48 against 84 us
-# at 200).
-_MANY_TERMS = 17
 
 
 def _slot_width(bits: int) -> int:
@@ -629,13 +622,14 @@ class Series:
 def _product(x: Poly2, y: Poly2, w: int, s: int) -> int:
     """The int of x * y in layout (w, s), which both factors and the
     product fit.  A literal factor, one of at most _FEW_TERMS terms by its
-    stored bound, times one of at least _MANY_TERMS is the sum of
-    c * (v << (e_t*s + e_q)*w) over the literal's terms c*t^e_t*q^e_q, v
-    the other's int: the same int as the multiply, from O(size) shifted
-    adds, and only the literal is decoded."""
-    if y._meta[1] <= _FEW_TERMS and x._meta[1] >= _MANY_TERMS:
+    stored bound (y first, as ``dot`` and ``Series`` pass the literal
+    second), times the other is the sum of c * (v << (e_t*s + e_q)*w)
+    over the literal's terms c*t^e_t*q^e_q, v the other's int: the same
+    int as the multiply, from O(size) shifted adds, and only the literal
+    is decoded."""
+    if y._meta[1] <= _FEW_TERMS:
         x, y = y, x
-    if x._meta[1] <= _FEW_TERMS and y._meta[1] >= _MANY_TERMS:
+    if x._meta[1] <= _FEW_TERMS:
         v = _conv(y, w, s)
         return sum(c * (v << (et * s + eq) * w) for (et, eq), c in x.items())
     return _conv(x, w, s) * _conv(y, w, s)

@@ -49,10 +49,12 @@ when read up to the first nonzero one.  Id 0's fixed-point half, ids 1
 and 4, and id 2's radicand factorisation build whole residual series.
 
 ``verify_theorem`` runs the identity for one of the ids 0..6 and returns a
-machine-readable Verdict.  Ids 3, 5 and 6 report the self-checks of the
-solvers for H, J and K, which check their identity once per solve and
-raise SelfCheckError on failure, so a corrupted series can never leak
-into the moment pipeline.
+machine-readable Verdict.  Each verdict reads its series from its solver,
+whose door refuses a bad order, and solves only the terms it compares:
+id 1 solves F to min(order, oracle cap).  Ids 3, 5 and 6 report the
+self-checks of the solvers for H, J and K, which check their identity
+once per solve and raise SelfCheckError on failure, so a corrupted series
+can never leak into the moment pipeline.
 
 Verdict ids:
 
@@ -390,8 +392,8 @@ def solve_F(order: int) -> Series:
     return Series(F)
 
 
-def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
-    """Cross-multiplied closed form for F:
+def verify_F_closed_form(order: int) -> Verdict:
+    """Cross-multiplied closed form for ``solve_F(order)``:
 
         2*(qtx + t^2x - tx - t + 1)*F + (-qtx + tx + t - 2) + t*R = 0,
         R = sqrt(inner radicand).
@@ -400,10 +402,7 @@ def verify_F_closed_form(order: int, F: Series | None = None) -> Verdict:
     t^2 * inner radicand; a mismatch there fails the verdict at the first
     differing x-index.
     """
-    if F is None:
-        F = solve_F(order)
-    elif F.order < order:
-        raise ValueError(f"series order {F.order} is below requested {order}")
+    F = solve_F(order)
     factor_diff = printed_radicand(order) - inner_radicand(order) * Poly2({(2, 0): 1})
     hit = _first_failure(factor_diff.coefficients(), _linear_residual(
         F, 2 - 2 * _T, 2 * _T * (_Q + _T - 1), [_T - 2, _T * _ONE_MINUS_Q],
@@ -485,20 +484,21 @@ def verify_theorem(theorem: int | str, order: int,
     Ids 0, 1, 2 and 4 report a failed identity as a failing Verdict.  Ids
     3, 5 and 6 report the self-checks of ``solve_H``, ``solve_Jdepth`` and
     ``solve_K``, which raise SelfCheckError when their identity fails, so
-    for those ids a failure raises.  Unknown ids and bad arguments (a
-    negative order or oracle_cap) raise ValueError before any work.
+    for those ids a failure raises.  An unknown id or a negative
+    oracle_cap raises ValueError before any work.  So does a negative
+    order, and one above its series' ``ORDER_CAPS`` entry raises
+    ResourceCapError: each id calls its solver before any other work, and
+    the solver's door (``_admit_order``) refuses the order.
 
     For id 1 the exhaustive enumeration is compared up to
-    min(order, oracle_cap); everything else runs at the full order.  A
-    size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError, and an
-    order above a solver's ``ORDER_CAPS`` entry raises ResourceCapError,
-    both before any work happens.
+    min(order, oracle_cap), and F, once the order passes F's door, is
+    solved only that far; everything else runs at the full order.  An
+    oracle size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError
+    before any work.
     """
     tid = str(theorem)
     if tid not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}, expected 0..6")
-    if order < 0:
-        raise ValueError("order must be >= 0")
     if oracle_cap < 0:
         raise ValueError("oracle_cap must be >= 0")
 
@@ -521,7 +521,8 @@ def verify_theorem(theorem: int | str, order: int,
                              _linear_residual(f, 0, 2, [-1],
                                               catalan_radical(order)))
     elif tid == "1":
-        F = solve_F(order)
+        _admit_order("F", order)   # the refusal solve_F(order) would give
+        F = solve_F(upto)
         # the cap was asked for explicitly, so it doubles as the refusal cap
         hit = _first_failure(
             (F - brute_force_enumerator(upto, cap=upto)).coefficients())

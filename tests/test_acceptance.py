@@ -275,7 +275,9 @@ def test_criterion_8_falsification_sensitivity(acceptance_report,
     # one spurious series coefficient breaks the closed-form verdict
     mutated = solve_F(12) + Series.from_x_coefficients(
         [0, 0, Poly2.term(1, et=1, eq=1)], 12)
-    verdict = verify_F_closed_form(12, F=mutated)
+    with monkeypatch.context() as mp:
+        mp.setattr("jumpstat.genfunc.solve_F", lambda order: mutated)
+        verdict = verify_F_closed_form(12)
     series_ok = not verdict.passed and verdict.first_failure.n == 2
 
     table = moment_table("jumps", max_moment=2, n_max=12)

@@ -203,7 +203,8 @@ def test_a_corrupt_H_fails_both_F_constructions_at_the_same_index(monkeypatch):
         bad = H + Series.from_x_coefficients([0] * b + [1], order)
         monkeypatch.setattr(genfunc, "solve_H", lambda _: bad)
         for F in (solve_F.__wrapped__(order), _F_by_inverse(bad)):
-            verdict = verify_F_closed_form(order, F)
+            monkeypatch.setattr(genfunc, "solve_F", lambda _: F)
+            verdict = verify_F_closed_form(order)
             if b < order:
                 assert verdict.first_failure.n == b + 1, b
             else:
@@ -460,13 +461,30 @@ def test_verify_oracle_cap_limits_comparison():
     assert verdict.passed
 
 
+def test_id_1_solves_F_only_as_far_as_it_compares(monkeypatch):
+    # F is asked for once, at min(order, oracle_cap), and an order above
+    # F's cap is still refused by F's door before any solve
+    asked = []
+
+    def spy(order):
+        asked.append(order)
+        return solve_F(order)
+
+    monkeypatch.setattr(genfunc, "solve_F", spy)
+    for order, oracle_cap in [(120, 12), (25, 5), (4, 12), (0, 12)]:
+        asked.clear()
+        assert verify_theorem("1", order, oracle_cap=oracle_cap).passed
+        assert asked == [min(order, oracle_cap)], (order, oracle_cap)
+    asked.clear()
+    with pytest.raises(genfunc.ResourceCapError) as refused:
+        verify_theorem("1", 121)
+    assert str(refused.value) == \
+        "series F at order 121 exceeds the cap of order 120"
+    assert asked == []
+
+
 def test_verify_F_closed_form_at_zero_order():
     assert verify_F_closed_form(0).passed
-
-
-def test_verify_F_closed_form_rejects_short_series():
-    with pytest.raises(ValueError):
-        verify_F_closed_form(10, F=solve_F(5))
 
 
 def test_first_failure_reads_each_residual_up_to_its_first_nonzero():
@@ -481,12 +499,13 @@ def test_first_failure_reads_each_residual_up_to_its_first_nonzero():
 
 def test_a_passing_theorem_2_check_holds_less_than_F():
     # the residual is read one x-power at a time: when it was built as
-    # whole series, the check at 60 peaked at 2.6 times F's packed ints
+    # whole series, the check at 60 peaked at 2.6 times F's packed ints.
+    # F is solved first, so the check reads it from the solver's cache
     F = solve_F(60)
     size = sum(sys.getsizeof(c._v) for c in F.coefficients())
     tracemalloc.start()
     try:
-        assert verify_F_closed_form(60, F).passed
+        assert verify_F_closed_form(60).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,12 +526,13 @@ def test_a_sum_keeps_the_layout_of_the_operand_with_the_most_terms():
     assert total.items() == sorted((k, c) for k, c in terms.items() if c)
 
 
-def test_failing_verdict_reports_first_failure():
+def test_failing_verdict_reports_first_failure(monkeypatch):
     # 2q*x^2 added to F meets the x^0 factor 2 - 2t of the cross-multiplied
     # closed form, so the residual first fails at x^2 with 4q - 4tq
     wrong = solve_F(4) + Series.from_x_coefficients(
         [0, 0, Poly2.term(2, eq=1)], 4)
-    verdict = verify_F_closed_form(4, F=wrong)
+    monkeypatch.setattr(genfunc, "solve_F", lambda _: wrong)
+    verdict = verify_F_closed_form(4)
     assert not verdict.passed
     assert verdict.first_failure == FirstFailure(
         2, Poly2({(0, 1): 4, (1, 1): -4}))
