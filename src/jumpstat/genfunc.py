@@ -440,9 +440,9 @@ def solve_K(order: int) -> Series:
 
     Verified against its closed form, theorem 6, before return, and up to
     x^CROSS_CHECK_ORDER against the depth series J by the complement rule
-    jumpdist = internal - depth: the x^n coefficient sum(a_d * t^d) of J
-    gives the row with a_d at q^(n-d).  Exponents out of range mean the
-    depth series is corrupt.
+    jumpdist = internal - depth: J's x^n coefficient has row n's entry k
+    at t^(n-k), and the first power where J differs from that series
+    raises.
     """
     rows = _value_rows("jumpdist", order)
     # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
@@ -452,18 +452,14 @@ def solve_K(order: int) -> Series:
     K = Series([Poly2._packed(row, n + 1, 6) for n, row in enumerate(rows)])
     _self_checked(K, _theorem6_residual(K, order), "jump-distance")
     J = solve_Jdepth(min(order, CROSS_CHECK_ORDER))
-    for n, (poly, want) in enumerate(zip(J.coefficients(), rows)):
-        row = [0] * (n + 1)
-        for (et, eq), v in poly.items():
-            if eq != 0 or et > n:
-                raise SelfCheckError(
-                    f"depth series coefficient x^{n} has a bad term "
-                    f"t^{et}*q^{eq}")
-            row[n - et] = v
-        if row != want + [0] * (n + 1 - len(want)):
-            raise SelfCheckError(
-                f"jump-distance series coefficient x^{n} differs from the "
-                f"complement of the depth series")
+    # row n read backwards, padded to n + 1 entries: entry k at t^(n-k)
+    complement = Series([Poly2._packed([0] * (n + 1 - len(row)) + row[::-1], 1)
+                         for n, row in enumerate(rows[:J.order + 1])])
+    hit = _first_failure((J - complement).coefficients())
+    if hit is not None:
+        raise SelfCheckError(
+            f"jump-distance series coefficient x^{hit.n} differs from the "
+            f"complement of the depth series")
     return K
 
 
@@ -523,9 +519,7 @@ def verify_theorem(theorem: int | str, order: int,
     elif tid == "1":
         _admit_order("F", order)   # the refusal solve_F(order) would give
         F = solve_F(upto)
-        # the cap was asked for explicitly, so it doubles as the refusal cap
-        hit = _first_failure(
-            (F - brute_force_enumerator(upto, cap=upto)).coefficients())
+        hit = _first_failure((F - brute_force_enumerator(upto)).coefficients())
     else:  # id 4
         J = solve_Jdepth(order)
         hit = _first_failure(

@@ -25,7 +25,10 @@ Trees of one size are listed two ways, both exhaustive and both applying
 the rules once per tree to its children's statistics (``_compose``):
 
 * ``enumerate_trees`` and ``enumerate_trees_with_stats`` stream every tree
-  with its statistics in memory linear in the size.
+  with its statistics in memory linear in the size.  They walk the right
+  spine as a list of frames, one per vertex, so only left subtrees nest
+  generators; a left subtree of the root has size 1 or more only after all
+  Cat(n-1) trees with a leaf there, so no walk that finishes nests deeply.
 * The brute-force series enumerators, the oracles for the solvers, build
   no trees: for each size below the top one they keep a level of compact
   records, one int per tree, and compose each record of the next size from
@@ -36,7 +39,8 @@ the rules once per tree to its children's statistics (``_compose``):
 
 Everything here is iterative with explicit stacks; trees hundreds of
 thousands of vertices deep parse, format, and measure without touching the
-interpreter's recursion limit.  A Node may share a subtree with another
+interpreter's recursion limit, and the first tree of any admitted size
+streams at once.  A Node may share a subtree with another
 Node; ``compute_stats`` measures it wherever it occurs, and, like
 ``format_tree``, raises ``TypeError`` on any item that is not a tree.
 Equality and hash go through ``format_tree``: two trees are equal when
@@ -267,7 +271,10 @@ def enumerate_trees_with_stats(
 
     Stats are composed from the children's stats during construction, so a
     full sweep costs O(1) extra per tree.  This is the measurement route
-    independent of compute_stats: the two are cross-checked in tests.
+    independent of compute_stats: the two are cross-checked in tests.  The
+    walk keeps one frame per vertex of the right spine, and only left
+    subtrees nest generators, so a size of thousands yields its first tree,
+    the comb, without recursing.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -292,13 +299,39 @@ def _compose(ls: TreeStats, rs: TreeStats) -> TreeStats:
 
 
 def _enumerate_with_stats(n: int) -> Iterator[tuple[Node | Leaf, TreeStats]]:
-    if n == 0:
-        yield _LEAF_PAIR
-        return
-    for i in range(n):
-        for left, ls in _enumerate_with_stats(i):
-            for right, rs in _enumerate_with_stats(n - 1 - i):
-                yield Node(left, right), _compose(ls, rs)
+    # the right spine from the root down, one frame per vertex: [its size,
+    # its left size, the left subtrees still to come, the current left
+    # subtree with its stats]; the right subtree of a frame is the spine
+    # below it, so only left subtrees nest generators
+    frames: list[list] = []
+    size = n
+    while True:
+        # a fresh right subtree of the given size starts as the comb
+        while size:
+            frames.append([size, 0, iter(()), _LEAF_PAIR])
+            size -= 1
+        tree, st = _LEAF_PAIR
+        for frame in reversed(frames):
+            left, ls = frame[3]
+            tree, st = Node(left, tree), _compose(ls, st)
+        yield tree, st
+        # step the deepest frame to its next left subtree, or its first of
+        # the next left size; a frame with neither is done
+        while frames:
+            frame = frames[-1]
+            m, i, lefts, _ = frame
+            pair = next(lefts, None)
+            if pair is None and i + 1 < m:
+                i += 1
+                lefts = _enumerate_with_stats(i)
+                pair = next(lefts)
+            if pair is not None:
+                frame[1:] = i, lefts, pair
+                size = m - 1 - i
+                break
+            frames.pop()
+        else:
+            return
 
 
 # A level record packs (jumps, depth, jumpdist) of one tree into one int, a

@@ -1,18 +1,22 @@
 """Test-only helpers that the package itself never calls.
 
 ``degree_t`` and ``degree_q`` read a polynomial's exact degrees,
-``brute_force_jumpdist_enumerator`` is the exhaustive oracle for K, and
-``poly_divmod`` and ``poly_gcd`` are Euclid over ``Fraction`` coefficients,
-the oracle for the integer reduction of ``RationalFunctionN``.
+``brute_force_jumpdist_enumerator`` is the exhaustive oracle for K,
+``recursive_trees_with_stats`` is the oracle for the order of the tree
+enumeration, and ``poly_divmod`` and ``poly_gcd`` are Euclid over
+``Fraction`` coefficients, the oracle for the integer reduction of
+``RationalFunctionN``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from jumpstat.algebra import Poly2, Series, _digits, _exact_meta
 from jumpstat.guess import _strip
-from jumpstat.trees import DEFAULT_ENUMERATION_CAP, _weight_enumerator
+from jumpstat.trees import (_LEAF_PAIR, DEFAULT_ENUMERATION_CAP, Node,
+                            _compose, _weight_enumerator)
 
 
 def degree_t(poly: Poly2) -> int:
@@ -33,6 +37,19 @@ def brute_force_jumpdist_enumerator(
     independent of the complement rule by which solve_K's cross-check
     reads the depth series."""
     return _weight_enumerator(n_max, cap, lambda st: (0, st.jumpdist))
+
+
+def recursive_trees_with_stats(n: int) -> Iterator[tuple]:
+    """(tree, stats) pairs of size n by left size ascending, then each left
+    subtree with every right subtree, recursively on both sides: one nested
+    generator per vertex of the right spine."""
+    if n == 0:
+        yield _LEAF_PAIR
+        return
+    for i in range(n):
+        for left, ls in recursive_trees_with_stats(i):
+            for right, rs in recursive_trees_with_stats(n - 1 - i):
+                yield Node(left, right), _compose(ls, rs)
 
 
 def poly_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:

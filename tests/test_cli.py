@@ -517,6 +517,8 @@ def test_benchmark_selftest_passes():
     (("enumerate", "10"), lambda out: out.readline()),
     # one 100 kB line, more than a pipe holds
     (("series", "K", "--order", "60"), lambda out: out.read(5)),
+    # the first tree is the comb, its right spine 2000 vertices long
+    (("enumerate", "2000", "--cap", "2000"), lambda out: out.read(20)),
 ])
 def test_a_closed_stdout_exits_141_without_a_traceback(argv, read):
     env = {k: v for k, v in os.environ.items() if not k.startswith("JUMPSTAT_")}

@@ -697,17 +697,6 @@ def test_the_session_ranges_slice_the_order_32_series():
         assert solver.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("n,term,bad", [(2, Q, "t^0*q^1"),
-                                         (1, T * T, "t^2*q^0")])
-def test_K_refuses_a_depth_series_with_a_bad_term(monkeypatch, n, term, bad):
-    # a q term, or a depth above the size, has no jump distance n - depth
-    J = solve_Jdepth(3) + Series.from_x_coefficients([0] * n + [term], 3)
-    monkeypatch.setattr(genfunc, "solve_Jdepth", lambda order: J)
-    with pytest.raises(SelfCheckError, match=rf"^depth series coefficient "
-                       rf"x\^{n} has a bad term {re.escape(bad)}$"):
-        solve_K.__wrapped__(3)
-
-
 @pytest.mark.parametrize("order, checked", [(200, 40), (12, 12)])
 def test_K_reads_the_depth_series_only_up_to_the_cross_check(
         monkeypatch, order, checked):
@@ -771,13 +760,16 @@ def test_theorem_3_keeps_every_coefficient_of_H_in_its_layout(monkeypatch):
     assert len(seen) >= 200 and not moved
 
 
-def test_a_wrong_depth_coefficient_fails_the_cross_check(monkeypatch):
-    # well-formed, so only the comparison of the rows can see it
-    J = solve_Jdepth(40) + Series.from_x_coefficients([0] * 5 + [T * T], 40)
+# a depth term moved at x^5; a q term, and a depth above the size, have no
+# jump distance n - depth and so differ from the complement at their power
+@pytest.mark.parametrize("n, term", [(5, T * T), (2, Q), (1, T * T)],
+                         ids=["moved_depth", "q_term", "depth_above_size"])
+def test_a_wrong_depth_coefficient_fails_the_cross_check(monkeypatch, n, term):
+    J = solve_Jdepth(40) + Series.from_x_coefficients([0] * n + [term], 40)
     monkeypatch.setattr(genfunc, "solve_Jdepth", J.truncate)
-    with pytest.raises(SelfCheckError, match=r"^jump-distance series "
-                       r"coefficient x\^5 differs from the complement of the "
-                       r"depth series$"):
+    with pytest.raises(SelfCheckError, match=rf"^jump-distance series "
+                       rf"coefficient x\^{n} differs from the complement of "
+                       rf"the depth series$"):
         solve_K.__wrapped__(200)
 
 

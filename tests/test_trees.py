@@ -12,7 +12,8 @@ from jumpstat.trees import (LEAF, EnumerationCapError, Leaf, Node,
                             catalan, compute_stats, enumerate_trees,
                             enumerate_trees_with_stats, format_tree,
                             parse_tree)
-from reference import brute_force_jumpdist_enumerator, degree_q, degree_t
+from reference import (brute_force_jumpdist_enumerator, degree_q, degree_t,
+                       recursive_trees_with_stats)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
@@ -281,6 +282,20 @@ def test_enumeration_order_is_by_left_size():
         "[[.,[.,.]],.]",
         "[[[.,.],.],.]",
     ]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_the_spine_walk_follows_the_recursive_order(n):
+    walked = [(format_tree(t), st) for t, st in enumerate_trees_with_stats(n)]
+    assert walked == [(format_tree(t), st)
+                      for t, st in recursive_trees_with_stats(n)]
+
+
+def test_the_first_tree_of_a_deep_size_is_the_comb():
+    # its right spine is 3000 vertices long, far past the recursion limit
+    tree, st = next(enumerate_trees_with_stats(3000, cap=3000))
+    assert st == TreeStats(3000, 0, 3000, 0)
+    assert format_tree(tree) == "[.," * 3000 + "." + "]" * 3000
 
 
 def test_enumeration_counts_match_catalan():
