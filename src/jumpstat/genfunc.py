@@ -27,9 +27,8 @@ too: the Narayana numbers (trees by jumps) by their product rule, and
 Catalan's triangle (the ballot numbers, trees by jump distance) by
 running sums.  The quadratics f = 1 + x*f^2 and H = 1 + xH + qx(H-1)H
 are the tests' reference.  Id 0 checks f, and theorems 3 and 6 check H
-and K at every order; K is also compared up to x^CROSS_CHECK_ORDER (40)
-with J by the complement rule jumpdist = internal - depth, so J is
-solved at most to that order for K.
+and K at every order.  Each solver solves only what it is built from: F
+reads H, J reads f, and f, H and K read no other series.
 
 Each solver sits behind one prefix cache, ``_prefix_cached``, keyed by the
 tuple of its arguments, which refuses a negative order or one above
@@ -51,10 +50,10 @@ and 4, and id 2's radicand factorisation build whole residual series.
 ``verify_theorem`` runs the identity for one of the ids 0..6 and returns a
 machine-readable Verdict.  Each verdict reads its series from its solver,
 whose door refuses a bad order, and solves only the terms it compares:
-id 1 solves F to min(order, oracle cap).  Ids 3, 5 and 6 report the
-self-checks of the solvers for H, J and K, which check their identity
-once per solve and raise SelfCheckError on failure, so a corrupted series
-can never leak into the moment pipeline.
+id 1 solves F to min(order, oracle cap), id 6 J to min(order, 40).  Ids
+3, 5 and 6 report the self-checks of the solvers for H, J and K, which
+check their identity once per solve and raise SelfCheckError on failure,
+so a corrupted series can never leak into the moment pipeline.
 
 Verdict ids:
 
@@ -66,7 +65,8 @@ Verdict ids:
       R = sqrt(q^2x^2 - 2qx^2 - 2qx + x^2 - 2x + 1).
 * 4 — J: functional equation J = 1 + x*t*J(x,1)*J(x,t).
 * 5 — J: 2*(1 - t + t^2x)*J + (t - 2) + t*sqrt(1-4x) = 0, theorem 2 at q=1.
-* 6 — K: 2*(q - 1 + x)*K + (1 - 2q) + sqrt(1-4qx) = 0.
+* 6 — K: 2*(q - 1 + x)*K + (1 - 2q) + sqrt(1-4qx) = 0, and, up to x^40,
+      J's x^n coefficient is K_n read backwards in t.
 
 Ids 5 and 6 are the paper's A*S = c times A's conjugate B (R -> -R): A*B =
 (2-t)^2 - t^2(1-4x) = 4(1-t+t^2x) for J, (2q-1)^2 - (1-4qx) = 4q(q-1+x) for
@@ -124,14 +124,15 @@ ORDER_CAPS = {"f": 2000, "F": 120, "H": 200, "J": 400, "K": 400}
 
 
 # The highest order at which a series is compared with a second
-# construction of it: K with the complement of J, and a moment table's
-# power sums with H or K, packed from the same rows, which checks theorem
-# 3 or 6 on the rows up to 40 and their round trip through packing.  It
-# stays as the benchmark's traced table runs require a
-# ``moments.q_log_derivative`` span and its guess runs a ``solve_K`` one.
-# Forty covers every table of a paper session (n_max 32 at most), whose
-# re-guess tables are slices of its two order-32 tables, and keeps each
-# cold solve of J at a few hundredths of a second.
+# construction of it: K with the complement of J in verdict 6, and a
+# moment table's power sums with H or K, packed from the same rows, which
+# checks theorem 3 or 6 on the rows up to 40 and their round trip through
+# packing.  It stays as the benchmark's traced table runs require a
+# ``moments.q_log_derivative`` span, its guess runs a ``solve_K`` one and
+# its ``verify 6`` runs the spans of J's solve.  Forty covers every table
+# of a paper session (n_max 32 at most), whose re-guess tables are slices
+# of its two order-32 tables, and keeps each cold solve of J at a few
+# hundredths of a second.
 CROSS_CHECK_ORDER = 40
 
 
@@ -438,29 +439,17 @@ def solve_K(order: int) -> Series:
     """K(x,q), trees weighted q^jumpdist: the x^n coefficient has row n of
     Catalan's triangle (``_value_rows``) as its q-coefficients.
 
-    Verified against its closed form, theorem 6, before return, and up to
-    x^CROSS_CHECK_ORDER against the depth series J by the complement rule
-    jumpdist = internal - depth: J's x^n coefficient has row n's entry k
-    at t^(n-k), and the first power where J differs from that series
-    raises.
+    Verified against its own closed form, theorem 6, before being
+    returned; failure means the solver stack is broken, so it raises
+    instead of returning.
     """
-    rows = _value_rows("jumpdist", order)
     # 6 spare bits keep x^n of the theorem-6 residual, the dot of (K_n,
     # K_(n-1), r_n) with (2q - 2, 2, 1), in K_n's layout: the width rule
     # adds 4 bits, 2q - 2's stored bound, and 2 for the 4 term pairs, as
     # bits(K_(n-1)) and bits(r_n) are at most bits(K_n) + 2 to order 400
-    K = Series([Poly2._packed(row, n + 1, 6) for n, row in enumerate(rows)])
-    _self_checked(K, _theorem6_residual(K, order), "jump-distance")
-    J = solve_Jdepth(min(order, CROSS_CHECK_ORDER))
-    # row n read backwards, padded to n + 1 entries: entry k at t^(n-k)
-    complement = Series([Poly2._packed([0] * (n + 1 - len(row)) + row[::-1], 1)
-                         for n, row in enumerate(rows[:J.order + 1])])
-    hit = _first_failure((J - complement).coefficients())
-    if hit is not None:
-        raise SelfCheckError(
-            f"jump-distance series coefficient x^{hit.n} differs from the "
-            f"complement of the depth series")
-    return K
+    K = Series([Poly2._packed(row, n + 1, 6)
+                for n, row in enumerate(_value_rows("jumpdist", order))])
+    return _self_checked(K, _theorem6_residual(K, order), "jump-distance")
 
 
 # --- verdicts ---------------------------------------------------------------
@@ -470,27 +459,27 @@ SOLVERS = {"f": solve_catalan, "F": solve_F, "H": solve_H, "J": solve_Jdepth,
            "K": solve_K}
 
 # self-checked id -> the series whose solver checks its identity
-_SELF_CHECKED = {"3": "H", "5": "J", "6": "K"}
+_SELF_CHECKED = {"3": "H", "5": "J"}
 
 
 def verify_theorem(theorem: int | str, order: int,
                    oracle_cap: int = DEFAULT_ORACLE_CAP) -> Verdict:
     """Run one identity check and report a Verdict.
 
-    Ids 0, 1, 2 and 4 report a failed identity as a failing Verdict.  Ids
-    3, 5 and 6 report the self-checks of ``solve_H``, ``solve_Jdepth`` and
-    ``solve_K``, which raise SelfCheckError when their identity fails, so
-    for those ids a failure raises.  An unknown id or a negative
-    oracle_cap raises ValueError before any work.  So does a negative
-    order, and one above its series' ``ORDER_CAPS`` entry raises
-    ResourceCapError: each id calls its solver before any other work, and
-    the solver's door (``_admit_order``) refuses the order.
+    Ids 0, 1, 2 and 4, and id 6's comparison of K with J read as its
+    complement, report a failed identity as a failing Verdict.  Ids 3, 5
+    and 6 report the self-checks of ``solve_H``, ``solve_Jdepth`` and
+    ``solve_K``, which raise SelfCheckError when their identity fails.  An
+    unknown id or a negative oracle_cap raises ValueError before any work.
+    So does a negative order, and one above its series' ``ORDER_CAPS``
+    entry raises ResourceCapError: each id calls its solver before any
+    other work, and the solver's door (``_admit_order``) refuses the order.
 
-    For id 1 the exhaustive enumeration is compared up to
-    min(order, oracle_cap), and F, once the order passes F's door, is
-    solved only that far; everything else runs at the full order.  An
-    oracle size above DEFAULT_ENUMERATION_CAP raises EnumerationCapError
-    before any work.
+    Id 1 compares the exhaustive enumeration up to min(order, oracle_cap)
+    and solves F, once the order passes F's door, only that far; id 6
+    solves J to min(order, CROSS_CHECK_ORDER); the rest runs at the full
+    order.  An oracle size above DEFAULT_ENUMERATION_CAP raises
+    EnumerationCapError before any work.
     """
     tid = str(theorem)
     if tid not in THEOREM_IDS:
@@ -520,6 +509,14 @@ def verify_theorem(theorem: int | str, order: int,
         _admit_order("F", order)   # the refusal solve_F(order) would give
         F = solve_F(upto)
         hit = _first_failure((F - brute_force_enumerator(upto)).coefficients())
+    elif tid == "6":
+        K, J = solve_K(order), solve_Jdepth(min(order, CROSS_CHECK_ORDER))
+        # jumpdist = size - depth, so J_n is K_n read backwards in t: q^k
+        # goes to t^(n-k), padded to n + 1 entries
+        rows = map(Poly2.q_coefficients, K.coefficients())
+        hit = _first_failure(
+            J_n - Poly2._packed([0] * (n + 1 - len(row)) + row[::-1], 1)
+            for n, (J_n, row) in enumerate(zip(J.coefficients(), rows)))
     else:  # id 4
         J = solve_Jdepth(order)
         hit = _first_failure(

@@ -34,8 +34,8 @@ def brute_force_jumpdist_enumerator(
     """Like ``trees.brute_force_enumerator`` but the x^n coefficient sums
     q^jumpdist (no depth marker).  Ground truth for the jump-distance
     solver; it counts jumpdist itself, never depth, so it stays
-    independent of the complement rule by which solve_K's cross-check
-    reads the depth series."""
+    independent of the complement rule by which verdict 6 compares K with
+    the depth series."""
     return _weight_enumerator(n_max, cap, lambda st: (0, st.jumpdist))
 
 

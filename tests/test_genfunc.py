@@ -700,6 +700,7 @@ def test_the_session_ranges_slice_the_order_32_series():
 @pytest.mark.parametrize("order, checked", [(200, 40), (12, 12)])
 def test_K_reads_the_depth_series_only_up_to_the_cross_check(
         monkeypatch, order, checked):
+    # verdict 6 reads J once, up to the cross-check; K's solve never does
     orders = []
 
     def spy(n):
@@ -707,8 +708,37 @@ def test_K_reads_the_depth_series_only_up_to_the_cross_check(
         return solve_Jdepth(n)
 
     monkeypatch.setattr(genfunc, "solve_Jdepth", spy)
-    solve_K.__wrapped__(order)
+    solve_K.__wrapped__(200)
+    assert orders == []
+    assert verify_theorem("6", order).passed
     assert orders == [checked]
+
+
+# the series each solver is built from; none solves another to check it
+_BUILT_FROM = {"f": set(), "F": {"H"}, "H": set(), "J": {"f"}, "K": set()}
+
+
+def test_each_solver_solves_only_what_it_is_built_from(monkeypatch):
+    # every solver is warm at 8, so a spy serves a prefix and never solves:
+    # only the reads of the solver built cold are counted
+    for solver in SOLVERS.values():
+        solver(8)
+    reads = {}
+
+    def spy(name, other):
+        def solve(n):
+            reads[name].add(other)
+            return SOLVERS[other](n)
+        return solve
+
+    for name, solver in SOLVERS.items():
+        reads[name] = set()
+        with monkeypatch.context() as patched:
+            for other in SOLVERS.keys() - {name}:
+                patched.setattr(genfunc, SOLVERS[other].__name__,
+                                spy(name, other))
+            solver.__wrapped__(8)
+    assert reads == _BUILT_FROM
 
 
 def _corrupt_row_100(monkeypatch) -> None:
@@ -767,10 +797,8 @@ def test_theorem_3_keeps_every_coefficient_of_H_in_its_layout(monkeypatch):
 def test_a_wrong_depth_coefficient_fails_the_cross_check(monkeypatch, n, term):
     J = solve_Jdepth(40) + Series.from_x_coefficients([0] * n + [term], 40)
     monkeypatch.setattr(genfunc, "solve_Jdepth", J.truncate)
-    with pytest.raises(SelfCheckError, match=rf"^jump-distance series "
-                       rf"coefficient x\^{n} differs from the complement of "
-                       rf"the depth series$"):
-        solve_K.__wrapped__(200)
+    assert verify_theorem("6", 200) == Verdict("6", 200, False,
+                                               FirstFailure(n, term))
 
 
 # id: its series' solver, the (e_t, e_q) exponents of the single terms
@@ -786,15 +814,17 @@ _FAULTS = {
 }
 # id 1 reads F against the enumeration, id 4 J against its product form
 _FAULTS["1"], _FAULTS["4"] = _FAULTS["2"], _FAULTS["5"]
-# the ids that report a failed identity as a failing Verdict
+# the ids that report a failed identity of their series as a failing
+# Verdict; id 6 does so only for J read against K's complement
 _VERDICT_IDS = ("0", "1", "2", "4")
 
 
-def _faulty_verdict(monkeypatch, theorem: str, wrong: Series,
-                    order: int) -> Verdict:
-    """Id ``theorem``'s verdict with its solver returning ``wrong``."""
+def _faulty_verdict(monkeypatch, theorem: str, wrong: Series, order: int,
+                    solver=None) -> Verdict:
+    """Id ``theorem``'s verdict with ``solver``, by default its series'
+    solver, returning ``wrong``."""
     with monkeypatch.context() as patched:
-        patched.setattr(genfunc, _FAULTS[theorem][0].__name__,
+        patched.setattr(genfunc, (solver or _FAULTS[theorem][0]).__name__,
                         lambda n: wrong)
         return verify_theorem(theorem, order)
 
@@ -852,7 +882,8 @@ def test_a_negative_catalan_coefficient_fails_id_0_at_its_power(monkeypatch):
 
 
 # one single-term fault per case, with its failing verdict as recorded
-# before id 0's square, id 4's product or J's construction changed
+# before id 0's square, id 4's product or J's construction changed; id 6's
+# fault is in J, which it compares with K's complement
 @pytest.mark.parametrize("theorem, order, m, term, recorded", [
     ("0", 12, 5, Poly2.constant(-43), '{"theorem": "0", "order": 12, '
      '"pass": false, "first_failure": {"n": 5, "residual_terms": '
@@ -863,12 +894,16 @@ def test_a_negative_catalan_coefficient_fails_id_0_at_its_power(monkeypatch):
     ("4", 12, 7, Poly2.term(1, et=5), '{"theorem": "4", "order": 12, '
      '"pass": false, "first_failure": {"n": 7, "residual_terms": '
      '[{"et": 5, "eq": 0, "num": 1, "den": 1}]}}'),
-], ids=["0-negative", "1", "4"])
+    ("6", 12, 5, Poly2.term(1, et=2), '{"theorem": "6", "order": 12, '
+     '"pass": false, "first_failure": {"n": 5, "residual_terms": '
+     '[{"et": 2, "eq": 0, "num": 1, "den": 1}]}}'),
+], ids=["0-negative", "1", "4", "6-moved_depth"])
 def test_a_single_term_fault_gives_its_recorded_verdict(
         monkeypatch, theorem, order, m, term, recorded):
-    wrong = _FAULTS[theorem][0](order) + Series.from_x_coefficients(
-        [0] * m + [term], order)
-    verdict = _faulty_verdict(monkeypatch, theorem, wrong, order)
+    solver = solve_Jdepth if theorem == "6" else _FAULTS[theorem][0]
+    wrong = solver(order) + Series.from_x_coefficients([0] * m + [term],
+                                                       order)
+    verdict = _faulty_verdict(monkeypatch, theorem, wrong, order, solver)
     assert json.dumps(verdict.to_json()) == recorded
 
 
